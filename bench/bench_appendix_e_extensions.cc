@@ -16,7 +16,7 @@
 #include "exec/eager_agg.h"
 #include "exec/hash_table.h"
 #include "exec/micro_adaptive.h"
-#include "exec/parallel_scan.h"
+#include "exec/morsel_scan.h"
 #include "tpch/queries.h"
 #include "util/date.h"
 #include "util/timer.h"
@@ -83,14 +83,17 @@ int main(int argc, char** argv) {
   double base_s = 0;
   for (unsigned threads : {1u, 2u, 4u}) {
     double s = Best(3, [&] {
-      auto states = ParallelScan<EagerAggResult>(
-          db->lineitem, {li::extendedprice, li::discount}, Q6Preds(),
-          ScanMode::kDataBlocksPsma, threads,
-          [] { return EagerAggResult{}; },
-          [](EagerAggResult& st, const Batch& b) {
-            for (uint32_t i = 0; i < b.count; ++i)
-              st.sum_product += b.cols[0].i64[i] * b.cols[1].i32[i];
-          });
+      ScanSpec spec;
+      spec.columns = {li::extendedprice, li::discount};
+      spec.predicates = Q6Preds();
+      spec.slots = threads;
+      std::vector<EagerAggResult> states(threads);
+      MorselScan({&db->lineitem}, spec,
+                 [&](unsigned slot, const Batch& b, unsigned) {
+                   EagerAggResult& st = states[slot];
+                   for (uint32_t i = 0; i < b.count; ++i)
+                     st.sum_product += b.cols[0].i64[i] * b.cols[1].i32[i];
+                 });
       int64_t total = 0;
       for (auto& st : states) total += st.sum_product;
       if (total / 100 != eager_rev) std::abort();

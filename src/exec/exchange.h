@@ -117,7 +117,7 @@ class Exchange {
 
   /// The lock DeliverRun takes for `dest` — exposed so a co-partitioned
   /// consumer can hold it and mutate dest-owned state directly, bypassing
-  /// the buffer (exchange elision; see ShardedDenseScan). While holding it,
+  /// the buffer (exchange elision; see ExchangeDenseScan). While holding it,
   /// the caller must not flush any port (a delivery to another destination
   /// would nest two dest locks and invert order against a peer doing the
   /// mirror image).

@@ -3,15 +3,15 @@
 
 // Partitioned aggregation states for the morsel-parallel query pipelines.
 //
-// The per-slot-state model of parallel_scan.h replicates the whole
-// aggregation state into every parallelism slot and merges the copies in
-// slot order. That is the right shape for small or sparse states, but a
-// dense rows-sized vector (per-order / per-customer / per-supplier
-// aggregates over dbgen's dense key spaces) replicated S times costs
-// O(rows x slots) memory plus an O(rows x slots) merge — growing with the
-// thread count and burying the scan-on-compressed-data wins the Data
-// Blocks layout pays for. This header provides the two state shapes that
-// kill that blow-up:
+// A MorselScan (exec/morsel_scan.h) with one State per slot replicates the
+// whole aggregation state into every parallelism slot and merges the
+// copies in slot order. That is the right shape for small or sparse
+// states, but a dense rows-sized vector (per-order / per-customer /
+// per-supplier aggregates over dbgen's dense key spaces) replicated S
+// times costs O(rows x slots) memory plus an O(rows x slots) merge —
+// growing with the thread count and burying the scan-on-compressed-data
+// wins the Data Blocks layout pays for. This header provides the two state
+// shapes that kill that blow-up:
 //
 //  * PartitionedDense<T, U, Apply>: ONE dense T vector over [0, domain),
 //    partitioned into contiguous power-of-two key ranges, one range per
@@ -213,9 +213,9 @@ class PartitionedDense {
     }
 
     /// Drains the spill buffer into the dense vector and releases any run
-    /// lock. The parallel drivers call this at end-of-slot, so by the
-    /// time TaskGroup::Wait returns every buffered update has been
-    /// applied.
+    /// lock. Scans call it as a slot's MorselScan end hook (which also
+    /// runs when the slot throws), so by the time TaskGroup::Wait returns
+    /// every buffered update has been applied and no run lock is held.
     void Flush() {
       if (cursor_ != nullptr) FlushBuffer();
       ReleaseHeld();
@@ -333,6 +333,7 @@ class PartitionedDense {
   };
 
   Sink& sink(unsigned slot) { return sinks_[slot]; }
+
   unsigned slots() const { return slots_; }
   unsigned partitions() const { return parts_; }
   size_t OwnerOf(size_t key) const { return key >> part_shift_; }
@@ -360,53 +361,6 @@ class PartitionedDense {
   std::vector<Sink> sinks_;
   bool taken_ = false;
 };
-
-/// Morsel-parallel scan whose aggregation state is one PartitionedDense
-/// vector (see above) instead of a per-slot replica. `produce` is
-/// (Sink&, const Batch&) and calls sink.Add(key, update) per qualifying
-/// row. Each slot flushes its spill buffers after its last morsel, so the
-/// returned vector is complete — there is no merge step.
-template <typename T, typename U, typename Apply, typename Produce>
-std::vector<T> DensePartitionedScan(
-    const Table& table, std::vector<uint32_t> columns,
-    std::vector<Predicate> predicates, ScanMode mode, unsigned num_threads,
-    size_t domain, Produce produce, Apply apply = Apply{}, T init = T{},
-    uint32_t vector_size = TableScanner::kDefaultVectorSize,
-    Isa isa = BestIsa(), Scheduler* scheduler = nullptr,
-    obs::PipelineProfile* pipeline = nullptr) {
-  num_threads = EffectiveThreads(num_threads, scheduler);
-  PartitionedDense<T, U, Apply> state(domain, num_threads, std::move(apply),
-                                      init);
-  std::vector<int> chunk_nodes(table.num_chunks());
-  for (size_t i = 0; i < chunk_nodes.size(); ++i) {
-    chunk_nodes[i] = table.chunk_node(i);
-  }
-  NodeMorselDispatcher morsels(chunk_nodes);
-  auto worker = [&](unsigned slot) {
-    obs::WorkerScope scope(pipeline, slot);
-    auto& sink = state.sink(slot);
-    TableScanner scanner(table, columns, predicates, mode, vector_size, isa);
-    Batch batch;
-    const int my_node = Scheduler::CurrentWorkerNode();
-    size_t begin, end;
-    while (morsels.Next(my_node, &begin, &end)) {
-      scope.OnMorsel();
-      scanner.RestrictChunks(begin, end);
-      while (scanner.Next(&batch)) {
-        scope.OnBatch(batch.count, batch.AnyCoded());
-        produce(sink, batch);
-      }
-      // Per-morsel harvest: RestrictChunks reset the scanner's counters.
-      scope.OnScanTotals(scanner.chunks_scanned(), scanner.rows_considered(),
-                         scanner.chunks_skipped(),
-                         scanner.evicted_chunks_skipped(),
-                         scanner.pins_taken(), scanner.archive_reloads());
-    }
-    sink.Flush();
-  };
-  RunOnSlots(num_threads, worker, scheduler);
-  return state.Take();
-}
 
 /// One dense T vector over [0, domain) filled by scatter STORES (not
 /// read-modify-write accumulations): correct whenever every row that
@@ -677,11 +631,11 @@ PartitionedAggTable<V> MergeAggTables(
 /// Across blocks (and across hot, non-coded batches) ids are stable because
 /// they are assigned by string value.
 ///
-/// Concurrency: parallel_scan.h invokes the consume callable concurrently
-/// from every slot, so an interner must live in per-worker state (one per
-/// ParAgg slot). Per-worker id spaces differ; merge across workers by NAME:
-/// translate each worker-local id through name() and re-intern into the
-/// merged interner while folding the aggregate tables.
+/// Concurrency: MorselScan (exec/morsel_scan.h) invokes the batch callback
+/// concurrently from every slot, so an interner must live in per-worker
+/// state (one per ParAgg slot). Per-worker id spaces differ; merge across
+/// workers by NAME: translate each worker-local id through name() and
+/// re-intern into the merged interner while folding the aggregate tables.
 class StringKeyInterner {
  public:
   /// Returns the dense id for `s`, assigning the next id on first sight.

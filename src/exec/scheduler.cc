@@ -77,6 +77,13 @@ Scheduler::Scheduler(Options opts) {
     }
     workers_.push_back(std::move(worker));
   }
+  // Resolve the process-wide statics the workers write to before any
+  // worker exists: a function-local static whose construction finishes
+  // before this constructor is destroyed after it, so a pool that outlives
+  // main (Default()) joins its workers before the registry and the trace
+  // ring go away.
+  (void)Metrics();
+  (void)obs::TraceRing::Default();
   // Threads start only after every Worker slot exists: workers steal from
   // siblings by index and must never observe a growing vector.
   for (unsigned w = 0; w < n; ++w) {

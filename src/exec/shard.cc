@@ -32,6 +32,13 @@ ShardedTable::ShardedTable(const Table& source, unsigned num_shards,
   }
 }
 
+std::vector<const Table*> ShardedTable::partitions() const {
+  std::vector<const Table*> parts;
+  parts.reserve(shards_.size());
+  for (const auto& t : shards_) parts.push_back(t.get());
+  return parts;
+}
+
 uint64_t ShardedTable::num_rows() const {
   uint64_t n = 0;
   for (const auto& t : shards_) n += t->num_rows();

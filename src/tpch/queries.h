@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "exec/parallel_scan.h"
+#include "exec/morsel_scan.h"
 #include "exec/partitioned_agg.h"
 #include "exec/shard.h"
 #include "exec/table_scanner.h"
@@ -15,12 +15,13 @@
 
 namespace datablocks::tpch {
 
-/// Execution knobs of one query run. `threads == 1` is the sequential
-/// reference path; anything else sends every fact-table scan+aggregate
-/// pipeline through the shared worker pool with one state per parallelism
-/// slot and a deterministic merge (results are identical to the sequential
-/// path by construction — every accumulation is exact and merged in slot
-/// order). `threads == 0` means "all hardware threads".
+/// Execution knobs of one query run. `threads` is the number of
+/// parallelism slots every fact-table scan+aggregate pipeline runs on
+/// (exec/morsel_scan.h): 1 runs it inline on the caller — the sequential
+/// reference — and more fan it out over the shared worker pool with one
+/// state per slot and a deterministic merge (results are identical to the
+/// one-slot run by construction — every accumulation is exact and merged in
+/// slot order). `threads == 0` means "all hardware threads".
 struct QueryContext {
   unsigned threads = 1;
   /// Worker pool for the parallel pipelines; nullptr = the process-wide
@@ -106,84 +107,92 @@ QueryResult RunQuery(int q, const TpchDatabase& db, const ScanOptions& opt);
 
 namespace detail {
 
-/// Drains a scanner, invoking fn(batch) per non-empty batch.
-template <typename Fn>
-void ScanLoop(TableScanner scanner, Fn fn) {
-  Batch batch;
-  while (scanner.Next(&batch)) fn(batch);
-}
-
-/// ScanLoop recording into a pipeline profile: the sequential leg of the
-/// Par* helpers — slot 0, the whole table as one morsel. All recording is
-/// no-op when `pipeline` is null.
-template <typename Fn>
-void ProfiledScanLoop(TableScanner scanner, obs::PipelineProfile* pipeline,
-                      Fn fn) {
-  obs::WorkerScope scope(pipeline, 0);
-  scope.OnMorsel();
-  Batch batch;
-  while (scanner.Next(&batch)) {
-    scope.OnBatch(batch.count, batch.AnyCoded());
-    fn(batch);
-  }
-  scope.OnScanTotals(scanner.chunks_scanned(), scanner.rows_considered(),
-                     scanner.chunks_skipped(),
-                     scanner.evicted_chunks_skipped(), scanner.pins_taken(),
-                     scanner.archive_reloads());
-}
-
-/// Opens one pipeline on the context's profile (nullptr when profiling is
-/// off) and stamps its wall time on scope exit.
+/// One scan pipeline of a query: the MorselScan partition list (the
+/// context's shard tables when `table` is sharded there, else `table`
+/// alone) and spec, whose `pipeline` is the entry on the context's profile
+/// (nullptr when profiling is off); its wall time is stamped on scope exit.
 class PipelineScope {
  public:
-  PipelineScope(const ScanOptions& opt, const Table& table)
-      : pipeline_(opt.ctx.profile != nullptr
-                      ? opt.ctx.profile->AddPipeline(table.name())
-                      : nullptr),
-        start_ns_(pipeline_ != nullptr ? obs::MonotonicNs() : 0) {}
+  PipelineScope(const ScanOptions& opt, const Table& table,
+                std::vector<uint32_t> cols, std::vector<Predicate> preds,
+                unsigned slots)
+      : shards_(opt.ctx.shards != nullptr ? opt.ctx.shards->Find(table)
+                                          : nullptr),
+        partitions_(shards_ != nullptr ? shards_->partitions()
+                                       : std::vector<const Table*>{&table}),
+        spec_{std::move(cols),
+              std::move(preds),
+              opt.mode,
+              EffectiveThreads(slots, opt.ctx.scheduler),
+              opt.vector_size,
+              opt.isa,
+              opt.ctx.scheduler,
+              opt.ctx.profile != nullptr
+                  ? opt.ctx.profile->AddPipeline(table.name())
+                  : nullptr},
+        start_ns_(spec_.pipeline != nullptr ? obs::MonotonicNs() : 0) {}
   ~PipelineScope() {
-    if (pipeline_ != nullptr)
-      pipeline_->set_wall_ns(obs::MonotonicNs() - start_ns_);
+    if (spec_.pipeline != nullptr)
+      spec_.pipeline->set_wall_ns(obs::MonotonicNs() - start_ns_);
   }
 
   PipelineScope(const PipelineScope&) = delete;
   PipelineScope& operator=(const PipelineScope&) = delete;
 
-  obs::PipelineProfile* get() const { return pipeline_; }
+  /// The sharded view being scanned, nullptr for a plain table.
+  const ShardedTable* shards() const { return shards_; }
+  const std::vector<const Table*>& partitions() const { return partitions_; }
+  const ScanSpec& spec() const { return spec_; }
+  /// Parallelism slots (resolved: always >= 1).
+  unsigned slots() const { return spec_.slots; }
 
   /// Times `fn()` as the pipeline's merge step.
   template <typename Fn>
   void Merge(Fn fn) {
-    if (pipeline_ == nullptr) {
+    if (spec_.pipeline == nullptr) {
       fn();
       return;
     }
     const uint64_t t0 = obs::MonotonicNs();
     fn();
-    pipeline_->set_merge_ns(obs::MonotonicNs() - t0);
+    spec_.pipeline->set_merge_ns(obs::MonotonicNs() - t0);
   }
 
  private:
-  obs::PipelineProfile* pipeline_;
+  const ShardedTable* shards_;
+  std::vector<const Table*> partitions_;
+  ScanSpec spec_;
   uint64_t start_ns_;
 };
 
 // ---------------------------------------------------------------------------
-// Parallel pipeline helpers. Every query pipeline is written once against
-// these: with ctx.threads == 1 they run the plain sequential ScanLoop; with
-// more threads the scan fans out over the scheduler's morsel dispatcher
-// with a State per parallelism slot, and `merge` folds the states in slot
-// order. Determinism contract: consume bodies only perform exact
-// accumulations (integer sums/counts, container inserts), so the merged
-// result equals the sequential result no matter which worker claimed which
-// morsel.
+// Pipeline helpers. Every query pipeline is written once against these,
+// and each is one MorselScan call: on ctx.threads slots (one slot runs
+// inline on the caller), over the table or its shards, with a State per
+// parallelism slot that `merge` folds in slot order. Determinism contract:
+// consume bodies only perform exact accumulations (integer sums/counts,
+// container inserts), so the merged result equals the one-slot result no
+// matter which worker claimed which morsel.
 // ---------------------------------------------------------------------------
 
-/// The sharded view of `table` in the context's shard set, nullptr when
-/// the table is unsharded (or no set is carried).
-inline const ShardedTable* FindShards(const ScanOptions& opt,
-                                      const Table& table) {
-  return opt.ctx.shards != nullptr ? opt.ctx.shards->Find(table) : nullptr;
+/// Scans a small dimension table (region, nation, supplier lookups) on one
+/// slot, inline on the caller — there is nothing to win on a handful of
+/// rows, and `fn` may fill unsynchronized state. Profiled like every other
+/// pipeline. `fn`: (const Batch&).
+template <typename Fn>
+void DimScan(const Table& table, const ScanOptions& opt,
+             std::vector<uint32_t> cols, std::vector<Predicate> preds,
+             Fn fn) {
+  PipelineScope pipeline(opt, table, std::move(cols), std::move(preds),
+                         /*slots=*/1);
+  MorselScan(pipeline.partitions(), pipeline.spec(),
+             [&fn](unsigned, const Batch& b, unsigned) { fn(b); });
+}
+
+template <typename Fn>
+void DimScan(const Table& table, const ScanOptions& opt,
+             std::vector<uint32_t> cols, Fn fn) {
+  DimScan(table, opt, std::move(cols), {}, std::move(fn));
 }
 
 /// Scan+aggregate with per-worker states and a merge step.
@@ -194,44 +203,38 @@ template <typename State, typename MakeState, typename Consume,
 State ParAgg(const Table& table, const ScanOptions& opt,
              std::vector<uint32_t> cols, std::vector<Predicate> preds,
              MakeState make_state, Consume consume, Merge merge) {
-  PipelineScope pipeline(opt, table);
-  if (const ShardedTable* st = FindShards(opt, table)) {
-    std::vector<State> states = ShardedParallelScan<State>(
-        *st, cols, preds, opt.mode, opt.ctx.threads, make_state, consume,
-        opt.vector_size, opt.isa, opt.ctx.scheduler, pipeline.get());
-    State merged = std::move(states[0]);
+  PipelineScope pipeline(opt, table, std::move(cols), std::move(preds),
+                         opt.ctx.threads);
+  std::vector<State> states;
+  states.reserve(pipeline.slots());
+  for (unsigned t = 0; t < pipeline.slots(); ++t) {
+    states.push_back(make_state());
+  }
+  MorselScan(pipeline.partitions(), pipeline.spec(),
+             [&](unsigned slot, const Batch& b, unsigned) {
+               consume(states[slot], b);
+             });
+  State merged = std::move(states[0]);
+  if (states.size() > 1) {
     pipeline.Merge([&] {
       for (size_t i = 1; i < states.size(); ++i) merge(merged, states[i]);
     });
-    return merged;
   }
-  if (opt.ctx.threads == 1) {
-    State state = make_state();
-    ProfiledScanLoop(opt.Scan(table, std::move(cols), std::move(preds)),
-                     pipeline.get(),
-                     [&](const Batch& b) { consume(state, b); });
-    return state;
-  }
-  std::vector<State> states = ParallelScan<State>(
-      table, std::move(cols), std::move(preds), opt.mode, opt.ctx.threads,
-      make_state, consume, opt.vector_size, opt.isa, opt.ctx.scheduler,
-      pipeline.get());
-  State merged = std::move(states[0]);
-  pipeline.Merge([&] {
-    for (size_t i = 1; i < states.size(); ++i) merge(merged, states[i]);
-  });
   return merged;
 }
 
 /// Dense-keyed scan+aggregate through the partitioned-aggregation engine
 /// (exec/partitioned_agg.h): ONE T vector over [0, domain) total — not one
-/// per slot — with each slot owning a contiguous key partition and routing
-/// foreign-partition rows through bounded spill buffers. No merge step.
-/// Use when the group key is dense by construction (orderkey / custkey /
-/// suppkey ordinals) and rows touching any element are many.
+/// per slot — with each slot routing foreign-partition rows through
+/// bounded spill buffers (PartitionedDense), or, on a sharded table,
+/// through the Exchange to the owning shard (ExchangeDenseScan,
+/// exec/shard.h).
+/// No merge step. Use when the group key is dense by construction
+/// (orderkey / custkey / suppkey ordinals) and rows touching any element
+/// are many.
 /// `produce`: (Sink&, const Batch&) calling sink.Add(key, U);
 /// `apply`: (T&, const U&), exact + commutative + associative, so results
-/// stay bit-identical to the sequential path.
+/// stay bit-identical to the one-slot path.
 ///
 /// `route_key_of` (optional): when the dense domain is derived from the
 /// scanned table's shard key (e.g. order ordinals from l_orderkey), pass
@@ -248,31 +251,22 @@ std::vector<T> ParDenseAgg(const Table& table, const ScanOptions& opt,
                            std::vector<Predicate> preds, size_t domain,
                            Produce produce, Apply apply, T init = T{},
                            int64_t (*route_key_of)(size_t) = nullptr) {
-  PipelineScope pipeline(opt, table);
-  if (const ShardedTable* st = FindShards(opt, table)) {
-    if (route_key_of != nullptr) {
-      return ShardedDenseScan<T, U>(
-          *st, cols, preds, opt.mode, opt.ctx.threads, domain, produce,
-          std::move(apply), init, opt.vector_size, opt.isa, opt.ctx.scheduler,
-          pipeline.get(), KeyOwner{route_key_of, st->num_shards()});
-    }
-    return ShardedDenseScan<T, U>(*st, cols, preds, opt.mode, opt.ctx.threads,
-                                  domain, produce, std::move(apply), init,
-                                  opt.vector_size, opt.isa, opt.ctx.scheduler,
-                                  pipeline.get());
+  PipelineScope pipeline(opt, table, std::move(cols), std::move(preds),
+                         opt.ctx.threads);
+  if (pipeline.shards() != nullptr) {
+    return ExchangeDenseScan<T, U>(pipeline.partitions(), pipeline.spec(),
+                                   domain, produce, std::move(apply), init,
+                                   route_key_of);
   }
-  if (opt.ctx.threads == 1) {
-    PartitionedDense<T, U, Apply> state(domain, 1, std::move(apply), init);
-    auto& sink = state.sink(0);  // single slot: direct apply, no buffers
-    ProfiledScanLoop(opt.Scan(table, std::move(cols), std::move(preds)),
-                     pipeline.get(),
-                     [&](const Batch& b) { produce(sink, b); });
-    return state.Take();
-  }
-  return DensePartitionedScan<T, U>(
-      table, std::move(cols), std::move(preds), opt.mode, opt.ctx.threads,
-      domain, produce, std::move(apply), init, opt.vector_size, opt.isa,
-      opt.ctx.scheduler, pipeline.get());
+  PartitionedDense<T, U, Apply> state(domain, pipeline.slots(),
+                                      std::move(apply), init);
+  MorselScan(
+      pipeline.partitions(), pipeline.spec(),
+      [&](unsigned slot, const Batch& b, unsigned) {
+        produce(state.sink(slot), b);
+      },
+      [&](unsigned slot) { state.sink(slot).Flush(); });
+  return state.Take();
 }
 
 /// Sparse group-by through the partitioned-aggregation engine: per-worker
@@ -287,51 +281,30 @@ PartitionedAggTable<V> ParHashAgg(const Table& table, const ScanOptions& opt,
                                   std::vector<uint32_t> cols,
                                   std::vector<Predicate> preds,
                                   Produce produce, Fold fold) {
-  PipelineScope pipeline(opt, table);
-  if (const ShardedTable* st = FindShards(opt, table)) {
-    // Shard-affine scanning keeps each worker-local table's keys within
-    // (mostly) one shard, so the exchange-merge folds each group from few
-    // locals — the work saving that makes shards beat per-worker replicas
-    // even without extra cores. Partition count covers max(threads,
-    // shards) so every shard owns >= 1 partition.
-    const unsigned threads =
-        EffectiveThreads(opt.ctx.threads, opt.ctx.scheduler);
-    const unsigned parts = std::max(threads, st->num_shards());
-    std::vector<PartitionedAggTable<V>> locals =
-        ShardedParallelScan<PartitionedAggTable<V>>(
-            *st, cols, preds, opt.mode, threads,
-            [parts] { return PartitionedAggTable<V>(parts); },
-            [&produce](PartitionedAggTable<V>& t, const Batch& b) {
-              produce(t, b);
-            },
-            opt.vector_size, opt.isa, opt.ctx.scheduler, pipeline.get());
-    PartitionedAggTable<V> merged(0);
-    pipeline.Merge([&] {
-      merged = ExchangeMergeAggTables(locals, fold, st->num_shards(),
-                                      opt.ctx.scheduler);
-    });
-    return merged;
-  }
-  if (opt.ctx.threads == 1) {
-    PartitionedAggTable<V> t(1);
-    ProfiledScanLoop(opt.Scan(table, std::move(cols), std::move(preds)),
-                     pipeline.get(),
-                     [&](const Batch& b) { produce(t, b); });
-    return t;
-  }
-  const unsigned threads =
-      EffectiveThreads(opt.ctx.threads, opt.ctx.scheduler);
-  std::vector<PartitionedAggTable<V>> locals =
-      ParallelScan<PartitionedAggTable<V>>(
-          table, std::move(cols), std::move(preds), opt.mode, threads,
-          [threads] { return PartitionedAggTable<V>(threads); },
-          [&produce](PartitionedAggTable<V>& t, const Batch& b) {
-            produce(t, b);
-          },
-          opt.vector_size, opt.isa, opt.ctx.scheduler, pipeline.get());
+  PipelineScope pipeline(opt, table, std::move(cols), std::move(preds),
+                         opt.ctx.threads);
+  const ShardedTable* st = pipeline.shards();
+  // On a sharded table, shard-affine scanning keeps each worker-local
+  // table's keys within (mostly) one shard, so the exchange-merge folds
+  // each group from few locals — the work saving that makes shards beat
+  // per-worker replicas even without extra cores. The partition count
+  // covers max(slots, shards) so every shard owns >= 1 partition.
+  const unsigned shards = st != nullptr ? st->num_shards() : 1;
+  const unsigned parts = std::max(pipeline.slots(), shards);
+  std::vector<PartitionedAggTable<V>> locals;
+  locals.reserve(pipeline.slots());
+  for (unsigned t = 0; t < pipeline.slots(); ++t) locals.emplace_back(parts);
+  MorselScan(pipeline.partitions(), pipeline.spec(),
+             [&](unsigned slot, const Batch& b, unsigned) {
+               produce(locals[slot], b);
+             });
+  if (locals.size() == 1) return std::move(locals[0]);
   PartitionedAggTable<V> merged(0);
-  pipeline.Merge(
-      [&] { merged = MergeAggTables(locals, fold, opt.ctx.scheduler); });
+  pipeline.Merge([&] {
+    merged = st != nullptr ? ExchangeMergeAggTables(locals, fold, shards,
+                                                    opt.ctx.scheduler)
+                           : MergeAggTables(locals, fold, opt.ctx.scheduler);
+  });
   return merged;
 }
 

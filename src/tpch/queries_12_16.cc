@@ -208,19 +208,19 @@ QueryResult Q15(const TpchDatabase& db, const ScanOptions& opt) {
   for (int64_t r : revenue) max_rev = std::max(max_rev, r);
 
   QueryResult result;
-  ScanLoop(opt.Scan(db.supplier,
-                    {sup::suppkey, sup::name, sup::address, sup::phone}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i) {
-               int32_t sk = b.cols[0].i32[i];
-               if (revenue[size_t(sk)] != max_rev || max_rev == 0) continue;
-               result.rows.push_back(
-                   std::to_string(sk) + "|" + std::string(b.cols[1].Str(i)) +
-                   "|" + std::string(b.cols[2].Str(i)) + "|" +
-                   std::string(b.cols[3].Str(i)) + "|" +
-                   F2(double(max_rev) / 1e4));
-             }
-           });
+  DimScan(db.supplier, opt,
+          {sup::suppkey, sup::name, sup::address, sup::phone},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i) {
+              int32_t sk = b.cols[0].i32[i];
+              if (revenue[size_t(sk)] != max_rev || max_rev == 0) continue;
+              result.rows.push_back(
+                  std::to_string(sk) + "|" + std::string(b.cols[1].Str(i)) +
+                  "|" + std::string(b.cols[2].Str(i)) + "|" +
+                  std::string(b.cols[3].Str(i)) + "|" +
+                  F2(double(max_rev) / 1e4));
+            }
+          });
   std::sort(result.rows.begin(), result.rows.end());
   return result;
 }
@@ -259,12 +259,12 @@ QueryResult Q16(const TpchDatabase& db, const ScanOptions& opt) {
       MergeInsert<PartMap>);
 
   std::unordered_set<int32_t> excluded_supp;
-  ScanLoop(opt.Scan(db.supplier, {sup::suppkey, sup::comment}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               if (LikeMatch(b.cols[1].Str(i), "%Customer%Complaints%"))
-                 excluded_supp.insert(b.cols[0].i32[i]);
-           });
+  DimScan(db.supplier, opt, {sup::suppkey, sup::comment},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i)
+              if (LikeMatch(b.cols[1].Str(i), "%Customer%Complaints%"))
+                excluded_supp.insert(b.cols[0].i32[i]);
+          });
 
   using GroupMap = std::map<std::string, std::unordered_set<int32_t>>;
   GroupMap group_supps = ParAgg<GroupMap>(

@@ -260,19 +260,19 @@ QueryResult Q20(const TpchDatabase& db, const ScanOptions& opt) {
       MergeUnion<KeySet>);
 
   int32_t canada = -1;
-  ScanLoop(opt.Scan(db.nation, {nat::nationkey},
-                    {Predicate::Eq(nat::name, Value::Str("CANADA"))}),
-           [&](const Batch& b) { canada = b.cols[0].i32[0]; });
+  DimScan(db.nation, opt, {nat::nationkey},
+          {Predicate::Eq(nat::name, Value::Str("CANADA"))},
+          [&](const Batch& b) { canada = b.cols[0].i32[0]; });
 
   QueryResult result;
-  ScanLoop(opt.Scan(db.supplier, {sup::suppkey, sup::name, sup::address},
-                    {Predicate::Eq(sup::nationkey, Value::Int(canada))}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               if (candidate_supp.count(b.cols[0].i32[i]))
-                 result.rows.push_back(std::string(b.cols[1].Str(i)) + "|" +
-                                       std::string(b.cols[2].Str(i)));
-           });
+  DimScan(db.supplier, opt, {sup::suppkey, sup::name, sup::address},
+          {Predicate::Eq(sup::nationkey, Value::Int(canada))},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i)
+              if (candidate_supp.count(b.cols[0].i32[i]))
+                result.rows.push_back(std::string(b.cols[1].Str(i)) + "|" +
+                                      std::string(b.cols[2].Str(i)));
+          });
   std::sort(result.rows.begin(), result.rows.end());
   return result;
 }
@@ -329,16 +329,16 @@ QueryResult Q21(const TpchDatabase& db, const ScanOptions& opt) {
       });
 
   int32_t saudi = -1;
-  ScanLoop(opt.Scan(db.nation, {nat::nationkey},
-                    {Predicate::Eq(nat::name, Value::Str("SAUDI ARABIA"))}),
-           [&](const Batch& b) { saudi = b.cols[0].i32[0]; });
+  DimScan(db.nation, opt, {nat::nationkey},
+          {Predicate::Eq(nat::name, Value::Str("SAUDI ARABIA"))},
+          [&](const Batch& b) { saudi = b.cols[0].i32[0]; });
   std::unordered_map<int32_t, std::string> saudi_supp;
-  ScanLoop(opt.Scan(db.supplier, {sup::suppkey, sup::name},
-                    {Predicate::Eq(sup::nationkey, Value::Int(saudi))}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               saudi_supp[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
-           });
+  DimScan(db.supplier, opt, {sup::suppkey, sup::name},
+          {Predicate::Eq(sup::nationkey, Value::Int(saudi))},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i)
+              saudi_supp[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
+          });
 
   // numwait per saudi supplier: orders with status F where this supplier
   // was the only late one and other suppliers participated.

@@ -6,11 +6,12 @@
 // slot-order merge), detail::ParDenseAgg (ONE partitioned dense vector for
 // dense key spaces — no per-slot replica, no merge) and detail::ParHashAgg
 // (per-worker hash-partitioned group-by tables, merged partition-wise).
-// Sequential at ctx.threads == 1, morsel-parallel otherwise. Tiny
-// dimension scans (region, nation, supplier lookups) stay sequential —
-// there is nothing to win on a handful of rows. All accumulations are
-// exact (integer), so the parallel results are identical to the
-// sequential ones.
+// Each is one MorselScan (exec/morsel_scan.h) on ctx.threads slots. Tiny
+// dimension scans (region, nation, supplier lookups) go through
+// detail::DimScan: the same driver on one slot, profiled like the rest —
+// there is nothing to win from parallelism on a handful of rows. All
+// accumulations are exact (integer), so the parallel results are
+// identical to the one-slot ones.
 
 #include <algorithm>
 #include <map>
@@ -104,37 +105,37 @@ QueryResult Q1(const TpchDatabase& db, const ScanOptions& opt) {
 QueryResult Q2(const TpchDatabase& db, const ScanOptions& opt) {
   // Region EUROPE -> nations.
   int32_t europe = -1;
-  ScanLoop(opt.Scan(db.region, {reg::regionkey},
-                    {Predicate::Eq(reg::name, Value::Str("EUROPE"))}),
-           [&](const Batch& b) { europe = b.cols[0].i32[0]; });
+  DimScan(db.region, opt, {reg::regionkey},
+          {Predicate::Eq(reg::name, Value::Str("EUROPE"))},
+          [&](const Batch& b) { europe = b.cols[0].i32[0]; });
   std::unordered_map<int32_t, std::string> nation_name;
-  ScanLoop(opt.Scan(db.nation, {nat::nationkey, nat::name},
-                    {Predicate::Eq(nat::regionkey, Value::Int(europe))}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               nation_name[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
-           });
+  DimScan(db.nation, opt, {nat::nationkey, nat::name},
+          {Predicate::Eq(nat::regionkey, Value::Int(europe))},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i)
+              nation_name[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
+          });
 
   struct SuppInfo {
     std::string name, address, phone, comment, nation;
     int64_t acctbal;
   };
   std::unordered_map<int32_t, SuppInfo> supp;
-  ScanLoop(opt.Scan(db.supplier,
-                    {sup::suppkey, sup::name, sup::address, sup::nationkey,
-                     sup::phone, sup::acctbal, sup::comment}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i) {
-               auto it = nation_name.find(b.cols[3].i32[i]);
-               if (it == nation_name.end()) continue;
-               supp[b.cols[0].i32[i]] =
-                   SuppInfo{std::string(b.cols[1].Str(i)),
-                            std::string(b.cols[2].Str(i)),
-                            std::string(b.cols[4].Str(i)),
-                            std::string(b.cols[6].Str(i)), it->second,
-                            b.cols[5].i64[i]};
-             }
-           });
+  DimScan(db.supplier, opt,
+          {sup::suppkey, sup::name, sup::address, sup::nationkey,
+           sup::phone, sup::acctbal, sup::comment},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i) {
+              auto it = nation_name.find(b.cols[3].i32[i]);
+              if (it == nation_name.end()) continue;
+              supp[b.cols[0].i32[i]] =
+                  SuppInfo{std::string(b.cols[1].Str(i)),
+                           std::string(b.cols[2].Str(i)),
+                           std::string(b.cols[4].Str(i)),
+                           std::string(b.cols[6].Str(i)), it->second,
+                           b.cols[5].i64[i]};
+            }
+          });
 
   // partsupp rows of European suppliers + per-part minimum cost.
   struct PsRow {
@@ -358,16 +359,16 @@ QueryResult Q5(const TpchDatabase& db, const ScanOptions& opt) {
   const int32_t hi = MakeDate(1995, 1, 1);
 
   int32_t asia = -1;
-  ScanLoop(opt.Scan(db.region, {reg::regionkey},
-                    {Predicate::Eq(reg::name, Value::Str("ASIA"))}),
-           [&](const Batch& b) { asia = b.cols[0].i32[0]; });
+  DimScan(db.region, opt, {reg::regionkey},
+          {Predicate::Eq(reg::name, Value::Str("ASIA"))},
+          [&](const Batch& b) { asia = b.cols[0].i32[0]; });
   std::unordered_map<int32_t, std::string> nation_name;
-  ScanLoop(opt.Scan(db.nation, {nat::nationkey, nat::name},
-                    {Predicate::Eq(nat::regionkey, Value::Int(asia))}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               nation_name[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
-           });
+  DimScan(db.nation, opt, {nat::nationkey, nat::name},
+          {Predicate::Eq(nat::regionkey, Value::Int(asia))},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i)
+              nation_name[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
+          });
 
   using KeyMap = std::unordered_map<int32_t, int32_t>;
   KeyMap cust_nation = ParAgg<KeyMap>(  // asian customers
@@ -395,12 +396,12 @@ QueryResult Q5(const TpchDatabase& db, const ScanOptions& opt) {
       MergeInsert<OrdMap>);
 
   std::unordered_map<int32_t, int32_t> supp_nation;
-  ScanLoop(opt.Scan(db.supplier, {sup::suppkey, sup::nationkey}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               if (nation_name.count(b.cols[1].i32[i]))
-                 supp_nation[b.cols[0].i32[i]] = b.cols[1].i32[i];
-           });
+  DimScan(db.supplier, opt, {sup::suppkey, sup::nationkey},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i)
+              if (nation_name.count(b.cols[1].i32[i]))
+                supp_nation[b.cols[0].i32[i]] = b.cols[1].i32[i];
+          });
 
   auto revenue = ParAgg<std::unordered_map<int32_t, int64_t>>(
       db.lineitem, opt,

@@ -30,20 +30,20 @@ namespace {
 std::unordered_map<int32_t, std::string> AllNations(const TpchDatabase& db,
                                                     const ScanOptions& opt) {
   std::unordered_map<int32_t, std::string> names;
-  ScanLoop(opt.Scan(db.nation, {nat::nationkey, nat::name}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               names[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
-           });
+  DimScan(db.nation, opt, {nat::nationkey, nat::name},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i)
+              names[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
+          });
   return names;
 }
 
 int32_t NationKeyOf(const TpchDatabase& db, const ScanOptions& opt,
                     const std::string& name) {
   int32_t key = -1;
-  ScanLoop(opt.Scan(db.nation, {nat::nationkey},
-                    {Predicate::Eq(nat::name, Value::Str(name))}),
-           [&](const Batch& b) { key = b.cols[0].i32[0]; });
+  DimScan(db.nation, opt, {nat::nationkey},
+          {Predicate::Eq(nat::name, Value::Str(name))},
+          [&](const Batch& b) { key = b.cols[0].i32[0]; });
   return key;
 }
 
@@ -70,14 +70,14 @@ QueryResult Q7(const TpchDatabase& db, const ScanOptions& opt) {
   const int32_t lo = MakeDate(1995, 1, 1), hi = MakeDate(1996, 12, 31);
 
   std::unordered_map<int32_t, int32_t> supp_nation;
-  ScanLoop(opt.Scan(db.supplier, {sup::suppkey, sup::nationkey}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i) {
-               int32_t nk = b.cols[1].i32[i];
-               if (nk == france || nk == germany)
-                 supp_nation[b.cols[0].i32[i]] = nk;
-             }
-           });
+  DimScan(db.supplier, opt, {sup::suppkey, sup::nationkey},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i) {
+              int32_t nk = b.cols[1].i32[i];
+              if (nk == france || nk == germany)
+                supp_nation[b.cols[0].i32[i]] = nk;
+            }
+          });
   using KeyMap = std::unordered_map<int32_t, int32_t>;
   KeyMap cust_nation = ParAgg<KeyMap>(
       db.customer, opt, {cust::custkey, cust::nationkey}, {},
@@ -133,16 +133,16 @@ QueryResult Q8(const TpchDatabase& db, const ScanOptions& opt) {
   const int32_t brazil = NationKeyOf(db, opt, "BRAZIL");
 
   int32_t america = -1;
-  ScanLoop(opt.Scan(db.region, {reg::regionkey},
-                    {Predicate::Eq(reg::name, Value::Str("AMERICA"))}),
-           [&](const Batch& b) { america = b.cols[0].i32[0]; });
+  DimScan(db.region, opt, {reg::regionkey},
+          {Predicate::Eq(reg::name, Value::Str("AMERICA"))},
+          [&](const Batch& b) { america = b.cols[0].i32[0]; });
   std::unordered_set<int32_t> american_nations;
-  ScanLoop(opt.Scan(db.nation, {nat::nationkey},
-                    {Predicate::Eq(nat::regionkey, Value::Int(america))}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               american_nations.insert(b.cols[0].i32[i]);
-           });
+  DimScan(db.nation, opt, {nat::nationkey},
+          {Predicate::Eq(nat::regionkey, Value::Int(america))},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i)
+              american_nations.insert(b.cols[0].i32[i]);
+          });
 
   using KeySet = std::unordered_set<int32_t>;
   KeySet parts = ParAgg<KeySet>(
@@ -177,12 +177,12 @@ QueryResult Q8(const TpchDatabase& db, const ScanOptions& opt) {
       MergeInsert<OrdMap>);
 
   std::unordered_map<int32_t, bool> supp_is_brazil;
-  ScanLoop(opt.Scan(db.supplier, {sup::suppkey, sup::nationkey}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               supp_is_brazil[b.cols[0].i32[i]] =
-                   b.cols[1].i32[i] == brazil;
-           });
+  DimScan(db.supplier, opt, {sup::suppkey, sup::nationkey},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i)
+              supp_is_brazil[b.cols[0].i32[i]] =
+                  b.cols[1].i32[i] == brazil;
+          });
 
   // year -> (brazil volume, total volume), accumulated exactly in cents *
   // percent so the parallel merge is bit-identical to the sequential sum.
@@ -242,11 +242,11 @@ QueryResult Q9(const TpchDatabase& db, const ScanOptions& opt) {
       MergeUnion<KeySet>);
 
   std::unordered_map<int32_t, int32_t> supp_nation;
-  ScanLoop(opt.Scan(db.supplier, {sup::suppkey, sup::nationkey}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               supp_nation[b.cols[0].i32[i]] = b.cols[1].i32[i];
-           });
+  DimScan(db.supplier, opt, {sup::suppkey, sup::nationkey},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i)
+              supp_nation[b.cols[0].i32[i]] = b.cols[1].i32[i];
+          });
 
   // (partkey, suppkey) -> supplycost, keys encoded densely. Keys are
   // unique per partsupp row, so the partition-wise fold is an overwrite.
@@ -392,12 +392,12 @@ QueryResult Q11(const TpchDatabase& db, const ScanOptions& opt) {
   const int32_t germany = NationKeyOf(db, opt, "GERMANY");
 
   std::unordered_set<int32_t> german_supp;
-  ScanLoop(opt.Scan(db.supplier, {sup::suppkey},
-                    {Predicate::Eq(sup::nationkey, Value::Int(germany))}),
-           [&](const Batch& b) {
-             for (uint32_t i = 0; i < b.count; ++i)
-               german_supp.insert(b.cols[0].i32[i]);
-           });
+  DimScan(db.supplier, opt, {sup::suppkey},
+          {Predicate::Eq(sup::nationkey, Value::Int(germany))},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i)
+              german_supp.insert(b.cols[0].i32[i]);
+          });
 
   struct ValueAgg {
     std::unordered_map<int32_t, int64_t> value;  // partkey -> cost*qty

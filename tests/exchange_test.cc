@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "exec/exchange.h"
@@ -236,6 +237,35 @@ TEST(ShardedTable, EmptySourceYieldsEmptyShards) {
   EXPECT_EQ(st.num_rows(), 0u);
   // Scans over empty shards are fine (zero chunks, zero morsels).
   for (unsigned s = 0; s < 4; ++s) EXPECT_EQ(st.shard(s).num_chunks(), 0u);
+}
+
+// A sharded dense scan whose slot throws (a storage fault, say) must hand
+// back the dense vector's byte accounting like a successful one does, on
+// the exchange path and on the co-partitioned one.
+TEST(ExchangeDenseScan, FailedScanReleasesItsAccounting) {
+  Table t = MakeKeyedTable(2000, 128);
+  ShardedTable st(t, 4, /*route_col=*/0);
+  Scheduler sched(Scheduler::Options{.num_workers = 2});
+  ScanSpec spec;
+  spec.columns = {0};
+  spec.mode = ScanMode::kDataBlocks;
+  spec.slots = 3;
+  spec.scheduler = &sched;
+  auto produce = [](auto&, const Batch&) {
+    throw std::runtime_error("scan fault");
+  };
+  using RouteKeyOf = int64_t (*)(size_t);
+  const RouteKeyOf identity = [](size_t key) { return int64_t(key); };
+  const uint64_t before = aggstate::GetStats().dense_bytes;
+  for (RouteKeyOf route_key_of : {identity, RouteKeyOf{nullptr}}) {
+    auto scan = [&] {
+      ExchangeDenseScan<int64_t, int64_t>(st.partitions(), spec, 2000,
+                                          produce, ApplyAdd{}, int64_t{0},
+                                          route_key_of);
+    };
+    EXPECT_THROW(scan(), std::runtime_error);
+    EXPECT_EQ(aggstate::GetStats().dense_bytes, before);
+  }
 }
 
 TEST(ShardSet, FindsBySourceAddress) {

@@ -7,7 +7,7 @@
 
 #include "exec/eager_agg.h"
 #include "exec/micro_adaptive.h"
-#include "exec/parallel_scan.h"
+#include "exec/morsel_scan.h"
 #include "storage/block_archive.h"
 #include "util/rng.h"
 
@@ -95,23 +95,25 @@ TEST(EagerAgg, GroupedMatchesGlobal) {
   for (const auto& g : groups) EXPECT_GT(g.count, 0);
 }
 
-TEST(ParallelScanTest, MatchesSerialAggregation) {
+TEST(MorselScanTest, MatchesSerialAggregation) {
   Table t = MakeTable(50000, 1024, true);
   auto serial = EagerAggregate(
       t, 1, 2, {Predicate::Between(2, Value::Int(5), Value::Int(80))},
       ScanMode::kDataBlocksPsma);
   for (unsigned threads : {1u, 2u, 4u}) {
-    auto states = ParallelScan<EagerAggResult>(
-        t, {1, 2}, {Predicate::Between(2, Value::Int(5), Value::Int(80))},
-        ScanMode::kDataBlocksPsma, threads,
-        [] { return EagerAggResult{}; },
-        [](EagerAggResult& state, const Batch& b) {
-          for (uint32_t i = 0; i < b.count; ++i) {
-            ++state.count;
-            state.sum_a += b.cols[0].i64[i];
-            state.sum_product += b.cols[0].i64[i] * b.cols[1].i32[i];
-          }
-        });
+    ScanSpec spec;
+    spec.columns = {1, 2};
+    spec.predicates = {Predicate::Between(2, Value::Int(5), Value::Int(80))};
+    spec.slots = threads;
+    std::vector<EagerAggResult> states(threads);
+    MorselScan({&t}, spec, [&](unsigned slot, const Batch& b, unsigned) {
+      EagerAggResult& state = states[slot];
+      for (uint32_t i = 0; i < b.count; ++i) {
+        ++state.count;
+        state.sum_a += b.cols[0].i64[i];
+        state.sum_product += b.cols[0].i64[i] * b.cols[1].i32[i];
+      }
+    });
     EagerAggResult merged;
     for (const auto& s : states) merged.Merge(s);
     EXPECT_EQ(merged.count, serial.count) << threads;
@@ -120,14 +122,18 @@ TEST(ParallelScanTest, MatchesSerialAggregation) {
   }
 }
 
-TEST(ParallelScanTest, MixedHotAndFrozen) {
+TEST(MorselScanTest, MixedHotAndFrozen) {
   Table t = MakeTable(30000, 1024, false);
   for (size_t c = 0; c + 1 < t.num_chunks(); c += 2) t.FreezeChunk(c);
-  auto states = ParallelScan<int64_t>(
-      t, {1}, {}, ScanMode::kDataBlocks, 2, [] { return int64_t{0}; },
-      [](int64_t& count, const Batch& b) { count += b.count; });
-  int64_t total = states[0] + states[1];
-  EXPECT_EQ(total, 30000);
+  ScanSpec spec;
+  spec.columns = {1};
+  spec.mode = ScanMode::kDataBlocks;
+  spec.slots = 2;
+  int64_t counts[2] = {0, 0};
+  MorselScan({&t}, spec, [&](unsigned slot, const Batch& b, unsigned) {
+    counts[slot] += b.count;
+  });
+  EXPECT_EQ(counts[0] + counts[1], 30000);
 }
 
 TEST(MicroAdaptive, ConvergesToCheapestFlavor) {

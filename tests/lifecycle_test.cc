@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "exec/parallel_scan.h"
+#include "exec/morsel_scan.h"
 #include "lifecycle/lifecycle_manager.h"
 #include "test_table_util.h"
 #include "tpcc/tpcc_db.h"
@@ -618,12 +618,16 @@ TEST(Lifecycle, ScansConcurrentWithEvictionReturnConsistentResults) {
     };
     auto parallel_worker = [&] {
       for (int i = 0; i < 3; ++i) {
-        struct Agg { int64_t count = 0; };
-        auto states = ParallelScan<Agg>(
-            t, {1}, {}, ScanMode::kDataBlocks, 4, [] { return Agg{}; },
-            [](Agg& a, const Batch& b) { a.count += b.count; });
+        ScanSpec spec;
+        spec.columns = {1};
+        spec.mode = ScanMode::kDataBlocks;
+        spec.slots = 4;
+        std::vector<int64_t> counts(4, 0);
+        MorselScan({&t}, spec, [&](unsigned slot, const Batch& b, unsigned) {
+          counts[slot] += b.count;
+        });
         int64_t total = 0;
-        for (const Agg& a : states) total += a.count;
+        for (int64_t c : counts) total += c;
         if (total != expect.count) failed = true;
       }
     };

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -382,6 +383,44 @@ TEST_F(ObsTpchTest, ProfiledQ1Q6MatchUnprofiledAndRecordScanWork) {
       std::string error;
       ASSERT_NE(json::Parse(profile.ToJson(), &error), nullptr) << error;
     }
+  }
+}
+
+// Dimension scans (region, nation, supplier lookups) run through the same
+// scan driver as the fact tables, so they show up in the profile too.
+TEST_F(ObsTpchTest, ProfiledQ2MatchesUnprofiledAndListsDimensionScans) {
+  for (unsigned threads : {1u, 2u}) {
+    tpch::ScanOptions plain;
+    plain.mode = ScanMode::kDataBlocksPsma;
+    plain.ctx.threads = threads;
+    const tpch::QueryResult expected = tpch::RunQuery(2, *frozen_, plain);
+    ASSERT_FALSE(expected.rows.empty());
+
+    QueryProfile profile("Q2", "+PSMA", threads);
+    tpch::ScanOptions profiled = plain;
+    profiled.ctx.profile = &profile;
+    EXPECT_EQ(tpch::RunQuery(2, *frozen_, profiled), expected)
+        << "threads=" << threads;
+
+    std::set<std::string> names;
+    for (size_t i = 0; i < profile.num_pipelines(); ++i) {
+      const PipelineProfile* p = profile.pipeline(i);
+      names.insert(p->name());
+      if (p->name() == "region" || p->name() == "nation" ||
+          p->name() == "supplier") {
+        // One slot, inline on the caller, and it did real work.
+        const PipelineProfile::Totals t = p->totals();
+        EXPECT_GT(t.morsels, 0u) << p->name();
+        EXPECT_GT(t.rows_out, 0u) << p->name();
+        ASSERT_EQ(p->workers().size(), 1u) << p->name();
+        EXPECT_EQ(p->workers()[0].slot, 0u) << p->name();
+      }
+    }
+    for (const char* dim : {"region", "nation", "supplier"}) {
+      EXPECT_EQ(names.count(dim), 1u) << dim << " threads=" << threads;
+    }
+    std::string error;
+    ASSERT_NE(json::Parse(profile.ToJson(), &error), nullptr) << error;
   }
 }
 

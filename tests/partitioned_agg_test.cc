@@ -12,6 +12,7 @@
 #include <map>
 #include <vector>
 
+#include "exec/morsel_scan.h"
 #include "exec/partitioned_agg.h"
 #include "exec/scheduler.h"
 #include "test_table_util.h"
@@ -107,10 +108,11 @@ TEST(PartitionedDense, ExactlyOnceAcrossMorselInterleavings) {
   EXPECT_EQ(total, int64_t(kSlots) * kPerSlotRounds);
 }
 
-TEST(DensePartitionedScan, FlushesBeforeTheParallelRegionJoins) {
-  // End-to-end through the scan driver: per-key sums over a real table
-  // must equal the sequential result immediately after the call returns —
-  // i.e. every spill buffer was flushed before TaskGroup::Wait finished.
+TEST(PartitionedDense, MorselScanFlushesBeforeTheParallelRegionJoins) {
+  // End-to-end through the scan driver, wired as ParDenseAgg wires it:
+  // per-key sums over a real table must equal the sequential result
+  // immediately after the call returns — i.e. every slot's end hook
+  // flushed its spill buffer before TaskGroup::Wait finished.
   Table t = MakeTestTable(20000, 1024, /*delete_every=*/7, /*freeze=*/true);
   const size_t kDomain = 64;
   std::vector<int64_t> expect(kDomain, 0);
@@ -124,17 +126,25 @@ TEST(DensePartitionedScan, FlushesBeforeTheParallelRegionJoins) {
     }
   }
   Scheduler sched(Scheduler::Options{.num_workers = 2});
+  auto produce = [](auto& sink, const Batch& b) {
+    for (uint32_t i = 0; i < b.count; ++i) {
+      sink.Add(size_t(b.cols[0].i64[i]) % 64, b.cols[1].i32[i]);
+    }
+  };
   for (unsigned threads : {1u, 3u, 8u}) {
-    std::vector<int64_t> got = DensePartitionedScan<int64_t, int64_t>(
-        t, {0, 1}, {}, ScanMode::kDataBlocks, threads, kDomain,
-        [](auto& sink, const Batch& b) {
-          for (uint32_t i = 0; i < b.count; ++i) {
-            sink.Add(size_t(b.cols[0].i64[i]) % 64, b.cols[1].i32[i]);
-          }
+    PartitionedDense<int64_t, int64_t, ApplyAdd> state(kDomain, threads);
+    ScanSpec spec;
+    spec.columns = {0, 1};
+    spec.mode = ScanMode::kDataBlocks;
+    spec.slots = threads;
+    spec.scheduler = &sched;
+    MorselScan(
+        {&t}, spec,
+        [&](unsigned slot, const Batch& b, unsigned) {
+          produce(state.sink(slot), b);
         },
-        ApplyAdd{}, int64_t{0}, TableScanner::kDefaultVectorSize, BestIsa(),
-        &sched);
-    EXPECT_EQ(got, expect) << "threads=" << threads;
+        [&](unsigned slot) { state.sink(slot).Flush(); });
+    EXPECT_EQ(state.Take(), expect) << "threads=" << threads;
   }
 }
 

@@ -1,21 +1,27 @@
 // Morsel-driven execution engine: worker pool + work stealing, the morsel
-// dispatcher, periodic tasks, scheduler-backed lifecycle ticks, parallel
-// TPC-H result equality, and the parallel-query-vs-eviction/compaction
-// stress the TSan CI leg leans on.
+// scan driver's contract, periodic tasks, the pool's exit order,
+// scheduler-backed lifecycle ticks, parallel TPC-H result equality, and the
+// parallel-query-vs-eviction/compaction stress the TSan CI leg leans on.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <future>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "exec/parallel_scan.h"
+#include "exec/morsel_scan.h"
+#include "exec/partitioned_agg.h"
 #include "exec/scheduler.h"
 #include "lifecycle/lifecycle_manager.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "test_table_util.h"
 #include "tpch/queries.h"
 #include "util/cpu.h"
@@ -33,6 +39,17 @@ bool WaitFor(Pred pred) {
     std::this_thread::yield();
   }
   return true;
+}
+
+/// A ScanMode::kDataBlocks scan spec over `columns` on `slots` slots.
+ScanSpec DataBlocksSpec(std::vector<uint32_t> columns, unsigned slots,
+                        Scheduler* sched) {
+  ScanSpec spec;
+  spec.columns = std::move(columns);
+  spec.mode = ScanMode::kDataBlocks;
+  spec.slots = slots;
+  spec.scheduler = sched;
+  return spec;
 }
 
 TEST(Topology, HardwareThreadsGuardAndShape) {
@@ -109,49 +126,155 @@ TEST(Scheduler, UrgentSubmitOvertakesQueuedTasks) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(Scheduler, MorselDispatcherHandsOutEveryRangeExactlyOnce) {
-  MorselDispatcher morsels(103, 7);
-  std::vector<std::vector<size_t>> claimed(4);
-  {
-    Scheduler sched(Scheduler::Options{.num_workers = 4});
-    TaskGroup group(&sched);
-    for (unsigned t = 0; t < 4; ++t) {
-      group.Run([&morsels, &mine = claimed[t]] {
-        size_t b, e;
-        while (morsels.Next(&b, &e)) {
-          EXPECT_LT(b, e);
-          EXPECT_LE(e, 103u);
-          for (size_t i = b; i < e; ++i) mine.push_back(i);
+// The MorselScan contract, for one- and multi-partition lists on one slot
+// and on more slots than pool workers: every chunk of every partition is
+// claimed by exactly one slot, one slot runs inline on the caller, and
+// each slot's end hook runs on that slot's own thread before the call
+// returns.
+TEST(MorselScan, DriverContract) {
+  Scheduler sched(Scheduler::Options{.num_workers = 2});
+  std::vector<Table> tables;
+  tables.reserve(3);
+  for (int p = 0; p < 3; ++p) {
+    // Rows [0, 5000) split over chunks of 512: ten chunks per partition,
+    // the last one partial; partition 1 is frozen.
+    tables.push_back(MakeTestTable(5000, 512, /*delete_every=*/0,
+                                   /*freeze=*/p == 1));
+  }
+  for (unsigned num_parts : {1u, 3u}) {
+    std::vector<const Table*> parts;
+    for (unsigned p = 0; p < num_parts; ++p) parts.push_back(&tables[p]);
+    for (unsigned slots : {1u, 8u}) {
+      SCOPED_TRACE(testing::Message()
+                   << num_parts << " partitions, " << slots << " slots");
+      const std::thread::id caller = std::this_thread::get_id();
+      const uint64_t tasks_before = sched.tasks_run();
+      // claims[p][id] = times row `id` was produced, owner[p][id] = the
+      // slot that produced it (the id column holds the insert index, so
+      // id / 512 is the row's chunk).
+      std::mutex mu;
+      std::vector<std::vector<int>> claims(num_parts,
+                                           std::vector<int>(5000, 0));
+      std::vector<std::vector<unsigned>> owner(num_parts,
+                                               std::vector<unsigned>(5000));
+      std::vector<std::set<std::thread::id>> batch_threads(slots);
+      std::vector<std::thread::id> end_thread(slots);
+      std::vector<int> ends(slots, 0);
+      MorselScan(
+          parts,
+          DataBlocksSpec({0}, slots, &sched),
+          [&](unsigned slot, const Batch& b, unsigned p) {
+            std::lock_guard<std::mutex> lock(mu);
+            batch_threads[slot].insert(std::this_thread::get_id());
+            EXPECT_EQ(ends[slot], 0) << "batch after the slot ended";
+            for (uint32_t i = 0; i < b.count; ++i) {
+              const size_t id = size_t(b.cols[0].i64[i]);
+              ++claims[p][id];
+              owner[p][id] = slot;
+            }
+          },
+          [&](unsigned slot) {
+            std::lock_guard<std::mutex> lock(mu);
+            ++ends[slot];
+            end_thread[slot] = std::this_thread::get_id();
+          });
+      for (unsigned p = 0; p < num_parts; ++p) {
+        for (size_t id = 0; id < 5000; ++id) {
+          ASSERT_EQ(claims[p][id], 1) << "partition " << p << " row " << id;
+          ASSERT_EQ(owner[p][id], owner[p][id / 512 * 512])
+              << "partition " << p << " chunk " << id / 512
+              << " split across slots";
         }
-      });
+      }
+      for (unsigned slot = 0; slot < slots; ++slot) {
+        EXPECT_EQ(ends[slot], 1) << "slot " << slot;
+        EXPECT_LE(batch_threads[slot].size(), 1u) << "slot " << slot;
+        if (!batch_threads[slot].empty()) {
+          EXPECT_EQ(*batch_threads[slot].begin(), end_thread[slot]);
+        }
+      }
+      // Slot 0 always runs on the caller.
+      EXPECT_EQ(end_thread[0], caller);
+      if (slots == 1) {
+        EXPECT_EQ(sched.tasks_run(), tasks_before);
+      }
     }
-    group.Wait();
   }
-  std::set<size_t> all;
-  size_t total = 0;
-  for (const auto& mine : claimed) {
-    total += mine.size();
-    all.insert(mine.begin(), mine.end());
-  }
-  EXPECT_EQ(total, 103u);       // no element claimed twice
-  EXPECT_EQ(all.size(), 103u);  // no element dropped
 }
 
-TEST(Scheduler, ParallelScanWithMoreSlotsThanWorkers) {
+TEST(MorselScan, SlotExceptionRethrownAfterAllSlotsJoin) {
+  Scheduler sched(Scheduler::Options{.num_workers = 2});
+  Table t = MakeTestTable(20000, 1024);
+  for (unsigned slots : {1u, 8u}) {
+    std::atomic<int> ended{0};
+    bool thrown = false;
+    try {
+      MorselScan(
+          {&t},
+          DataBlocksSpec({0}, slots, &sched),
+          [&](unsigned, const Batch& b, unsigned) {
+            // Exactly one slot scans chunk 5.
+            if (b.cols[0].i64[0] == 5 * 1024) {
+              throw std::runtime_error("scan fault");
+            }
+          },
+          [&](unsigned) { ended.fetch_add(1); });
+    } catch (const std::runtime_error& e) {
+      thrown = true;
+      EXPECT_STREQ(e.what(), "scan fault");
+    }
+    EXPECT_TRUE(thrown) << slots << " slots";
+    // Every slot ended — the thrower too — before the call returned.
+    EXPECT_EQ(ended.load(), int(slots)) << slots << " slots";
+  }
+}
+
+TEST(MorselScan, ThrowingSlotReleasesItsDenseRunLock) {
+  // A slot that throws while its PartitionedDense sink holds a partition's
+  // run lock must release it in its end hook: otherwise a sibling flushing
+  // into that partition would wait forever and the call never return.
+  Scheduler sched(Scheduler::Options{.num_workers = 2});
+  Table t = MakeTestTable(64 * 1024, 1024);
+  const size_t kDomain = 64;  // one lock partition: every sink run-locks it
+  const unsigned kSlots = 4;
+  for (int round = 0; round < 10; ++round) {
+    PartitionedDense<int64_t, int64_t, ApplyAdd> state(kDomain, kSlots);
+    auto produce = [&](auto& sink, const Batch& b) {
+      for (uint32_t i = 0; i < b.count; ++i) sink.Add(size_t(i) % kDomain, 1);
+    };
+    // Six 1024-row batches overflow the 4096-entry spill buffer once, so
+    // the throwing slot holds the run lock when it throws.
+    std::vector<int> batches(kSlots, 0);
+    std::atomic<bool> fired{false};
+    EXPECT_THROW(
+        MorselScan(
+            {&t},
+            DataBlocksSpec({0}, kSlots, &sched),
+            [&](unsigned slot, const Batch& b, unsigned) {
+              produce(state.sink(slot), b);
+              if (++batches[slot] == 6 && !fired.exchange(true)) {
+                throw std::runtime_error("scan fault");
+              }
+            },
+            [&](unsigned slot) { state.sink(slot).Flush(); }),
+        std::runtime_error);
+    EXPECT_TRUE(fired.load());
+  }
+}
+
+TEST(MorselScan, MoreSlotsThanWorkers) {
   Table t = MakeTestTable(20000, 1024, /*delete_every=*/7, /*freeze=*/true);
   ScanResult expect = FullScan(t);
   Scheduler sched(Scheduler::Options{.num_workers = 2});
-  auto states = ParallelScan<ScanResult>(
-      t, {0, 1, 2}, {}, ScanMode::kDataBlocks, /*num_threads=*/8,
-      [] { return ScanResult{}; },
-      [](ScanResult& r, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) {
-          ++r.count;
-          r.sum += b.cols[0].i64[i] + b.cols[1].i32[i];
-        }
-      },
-      TableScanner::kDefaultVectorSize, BestIsa(), &sched);
-  ASSERT_EQ(states.size(), 8u);
+  std::vector<ScanResult> states(8);
+  MorselScan({&t},
+             DataBlocksSpec({0, 1, 2}, 8, &sched),
+             [&](unsigned slot, const Batch& b, unsigned) {
+               for (uint32_t i = 0; i < b.count; ++i) {
+                 ++states[slot].count;
+                 states[slot].sum += b.cols[0].i64[i] + b.cols[1].i32[i];
+               }
+             });
   int64_t count = 0, sum = 0;
   for (const ScanResult& s : states) {
     count += s.count;
@@ -159,6 +282,33 @@ TEST(Scheduler, ParallelScanWithMoreSlotsThanWorkers) {
   }
   EXPECT_EQ(count, expect.count);
   EXPECT_EQ(sum, expect.sum);
+}
+
+// A program that starts the process-wide pool before it first touches the
+// metrics registry, with a task still running when main returns: the
+// static destructors at exit must join the pool's workers before the
+// registry and the trace ring they write to are destroyed. The child
+// re-executes this binary ("threadsafe" style), so the statics start
+// unconstructed there regardless of what earlier tests did.
+TEST(SchedulerDeathTest, DefaultPoolExitsCleanlyWithTaskInFlight) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        Scheduler& pool = Scheduler::Default();
+        TaskGroup warmup(&pool);
+        for (int i = 0; i < 8; ++i) warmup.Run([] {});
+        warmup.Wait();
+        obs::MetricsRegistry::Default().GetCounter("test.exit_order");
+        std::promise<void> started;
+        pool.Submit([&started] {
+          started.set_value();
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          obs::TraceRing::Default().Publish("test", "exit_order", 0, 0);
+        });
+        started.get_future().wait();
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Scheduler, PeriodicTasksFireUntilRemoved) {
@@ -291,14 +441,13 @@ TEST(Scheduler, ParallelQueriesVsEvictionAndCompactionStress) {
 
     std::atomic<bool> failed{false};
     auto parallel_scan_count = [&] {
-      auto states = ParallelScan<int64_t>(
-          t, {0, 1}, {}, ScanMode::kDataBlocks, /*num_threads=*/3,
-          [] { return int64_t{0}; },
-          [](int64_t& count, const Batch& b) { count += b.count; },
-          TableScanner::kDefaultVectorSize, BestIsa(), &sched);
-      int64_t total = 0;
-      for (int64_t s : states) total += s;
-      return total;
+      std::atomic<int64_t> total{0};
+      MorselScan({&t},
+                 DataBlocksSpec({0, 1}, 3, &sched),
+                 [&](unsigned, const Batch& b, unsigned) {
+                   total.fetch_add(b.count, std::memory_order_relaxed);
+                 });
+      return total.load();
     };
     // The scan slots, the point reader and the lifecycle ticks all share
     // the 3-worker pool (plus this thread and the reader thread).
