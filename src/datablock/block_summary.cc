@@ -313,8 +313,10 @@ BlockSummary BlockSummary::FromBytes(const uint8_t* data, uint64_t size) {
     cs.max_str.assign(reinterpret_cast<const char*>(data + pos), max_len);
     pos += max_len;
     cs.psma.resize(psma_entries);
-    std::memcpy(cs.psma.data(), data + pos,
-                psma_entries * sizeof(PsmaEntry));
+    if (psma_entries != 0) {  // an empty vector's data() may be null
+      std::memcpy(cs.psma.data(), data + pos,
+                  psma_entries * sizeof(PsmaEntry));
+    }
     pos += uint64_t(psma_entries) * sizeof(PsmaEntry);
   }
   DB_CHECK(pos == size);

@@ -271,7 +271,7 @@ std::vector<T> ParDenseAgg(const Table& table, const ScanOptions& opt,
 
 /// Sparse group-by through the partitioned-aggregation engine: per-worker
 /// hash-partitioned AggHashTables merged partition-wise (disjoint
-/// partitions, parallel merge) instead of a hand-rolled map + MergeAdd.
+/// partitions, parallel merge).
 /// Use when the group key is sparse or the group count is small relative
 /// to the scanned rows. `produce`: (PartitionedAggTable<V>&, const Batch&)
 /// calling t.Ref(key); `fold`: (V& dst, const V& src), exact +
@@ -339,32 +339,22 @@ std::vector<T> ParDenseStore(const Table& table, const ScanOptions& opt,
   return sink.Take();
 }
 
-// Slot-order merges for the common per-worker state shapes.
-
-/// dst[k] += v for maps whose mapped type supports +=.
-template <typename Map>
-void MergeAdd(Map& dst, const Map& src) {
-  for (const auto& [k, v] : src) dst[k] += v;
+/// Semi-join build side over a dense key domain: one 1-byte flag per key
+/// in [0, domain), set for every row passing `preds` at its int32 column
+/// `key_col`. The stores are idempotent, so all slots share one vector.
+inline std::vector<uint8_t> KeyFlags(const Table& table,
+                                     const ScanOptions& opt, uint32_t key_col,
+                                     std::vector<Predicate> preds,
+                                     size_t domain) {
+  return ParDenseStore<uint8_t>(
+      table, opt, {key_col}, std::move(preds), domain,
+      [](auto& sink, const Batch& b) {
+        for (uint32_t i = 0; i < b.count; ++i)
+          sink.Store(size_t(b.cols[0].i32[i]), 1);
+      });
 }
 
-/// Insert-if-absent (keys are unique per row, so collisions across workers
-/// can only carry identical values).
-template <typename Map>
-void MergeInsert(Map& dst, Map& src) {
-  dst.merge(src);
-}
-
-template <typename Set>
-void MergeUnion(Set& dst, const Set& src) {
-  dst.insert(src.begin(), src.end());
-}
-
-/// Element-wise += over equally sized vectors/arrays.
-template <typename Seq>
-void MergeSeqAdd(Seq& dst, const Seq& src) {
-  for (size_t i = 0; i < src.size(); ++i) dst[i] += src[i];
-}
-
+/// Slot-order merge of per-worker row lists.
 template <typename T>
 void MergeConcat(std::vector<T>& dst, std::vector<T>& src) {
   dst.insert(dst.end(), std::make_move_iterator(src.begin()),

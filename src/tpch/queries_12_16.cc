@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "exec/dict_memo.h"
 #include "tpch/queries.h"
@@ -147,15 +145,10 @@ QueryResult Q14(const TpchDatabase& db, const ScanOptions& opt) {
   // LIKE 'PROMO%' is a pure prefix, so it pushes into the scan as a SARGable
   // Prefix predicate: on frozen blocks the order-preserving dictionary turns
   // it into a code-range comparison and p_type itself need not be read.
-  using KeySet = std::unordered_set<int32_t>;
-  KeySet promo_parts = ParAgg<KeySet>(
-      db.part, opt, {prt::partkey},
+  const std::vector<uint8_t> promo_parts = KeyFlags(
+      db.part, opt, prt::partkey,
       {Predicate::Prefix(prt::type, Value::Str("PROMO"))},
-      [] { return KeySet{}; },
-      [](KeySet& s, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) s.insert(b.cols[0].i32[i]);
-      },
-      MergeUnion<KeySet>);
+      size_t(db.NumParts()) + 1);
 
   struct Revenue {
     int64_t promo = 0;
@@ -169,7 +162,7 @@ QueryResult Q14(const TpchDatabase& db, const ScanOptions& opt) {
         for (uint32_t i = 0; i < b.count; ++i) {
           int64_t v = b.cols[1].i64[i] * (100 - b.cols[2].i32[i]);
           r.total += v;
-          if (promo_parts.count(b.cols[0].i32[i])) r.promo += v;
+          if (promo_parts[size_t(b.cols[0].i32[i])]) r.promo += v;
         }
       },
       [](Revenue& dst, const Revenue& src) {
@@ -230,16 +223,16 @@ QueryResult Q15(const TpchDatabase& db, const ScanOptions& opt) {
 QueryResult Q16(const TpchDatabase& db, const ScanOptions& opt) {
   static const int kSizes[8] = {49, 14, 23, 45, 19, 3, 36, 9};
 
-  struct PartInfo {
-    std::string brand, type;
-    int32_t size;
+  struct PartRow {
+    int32_t partkey;
+    std::string group;  // "brand|type|size"
   };
-  using PartMap = std::unordered_map<int32_t, PartInfo>;
-  PartMap parts = ParAgg<PartMap>(
+  using PartRows = std::vector<PartRow>;
+  PartRows part_rows = ParAgg<PartRows>(
       db.part, opt, {prt::partkey, prt::brand, prt::type, prt::size},
       {Predicate::Ne(prt::brand, Value::Str("Brand#45"))},
-      [] { return PartMap{}; },
-      [](PartMap& m, const Batch& b) {
+      [] { return PartRows{}; },
+      [](PartRows& rows, const Batch& b) {
         // NOT LIKE 'MEDIUM POLISHED%' cannot push into the scan, but on
         // coded batches the prefix test runs once per p_type dictionary
         // code instead of per row.
@@ -252,46 +245,60 @@ QueryResult Q16(const TpchDatabase& db, const ScanOptions& opt) {
           bool size_ok = false;
           for (int s : kSizes) size_ok |= (size == s);
           if (!size_ok) continue;
-          m[b.cols[0].i32[i]] = PartInfo{std::string(b.cols[1].Str(i)),
-                                         std::string(b.cols[2].Str(i)), size};
+          rows.push_back({b.cols[0].i32[i],
+                          std::string(b.cols[1].Str(i)) + "|" +
+                              std::string(b.cols[2].Str(i)) + "|" +
+                              std::to_string(size)});
         }
       },
-      MergeInsert<PartMap>);
+      MergeConcat<PartRow>);
 
-  std::unordered_set<int32_t> excluded_supp;
+  // Group ids: the partsupp pipeline groups on integers, names join in at
+  // output. partkey -> group id, -1 for parts that do not qualify.
+  std::vector<std::string> group_names;
+  std::vector<int32_t> part_group(size_t(db.NumParts()) + 1, -1);
+  {
+    std::map<std::string, int32_t> ids;
+    for (PartRow& r : part_rows) {
+      auto [it, fresh] = ids.emplace(r.group, int32_t(group_names.size()));
+      if (fresh) group_names.push_back(std::move(r.group));
+      part_group[size_t(r.partkey)] = it->second;
+    }
+  }
+
+  std::vector<uint8_t> excluded_supp(size_t(db.NumSuppliers()) + 1);
   DimScan(db.supplier, opt, {sup::suppkey, sup::comment},
           [&](const Batch& b) {
             for (uint32_t i = 0; i < b.count; ++i)
               if (LikeMatch(b.cols[1].Str(i), "%Customer%Complaints%"))
-                excluded_supp.insert(b.cols[0].i32[i]);
+                excluded_supp[size_t(b.cols[0].i32[i])] = 1;
           });
 
-  using GroupMap = std::map<std::string, std::unordered_set<int32_t>>;
-  GroupMap group_supps = ParAgg<GroupMap>(
+  // Distinct (group, suppkey) pairs in one flat table.
+  const int64_t supp_span = db.NumSuppliers() + 1;
+  auto group_supps = ParHashAgg<uint8_t>(
       db.partsupp, opt, {ps::partkey, ps::suppkey}, {},
-      [] { return GroupMap{}; },
-      [&parts, &excluded_supp](GroupMap& g, const Batch& b) {
+      [&part_group, &excluded_supp, supp_span](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          auto pit = parts.find(b.cols[0].i32[i]);
-          if (pit == parts.end()) continue;
-          if (excluded_supp.count(b.cols[1].i32[i])) continue;
-          std::string key = pit->second.brand + "|" + pit->second.type + "|" +
-                            std::to_string(pit->second.size);
-          g[key].insert(b.cols[1].i32[i]);
+          int32_t group = part_group[size_t(b.cols[0].i32[i])];
+          int32_t sk = b.cols[1].i32[i];
+          if (group < 0 || excluded_supp[size_t(sk)]) continue;
+          t.Ref(uint64_t(group * supp_span + sk)) = 1;
         }
       },
-      [](GroupMap& dst, const GroupMap& src) {
-        for (const auto& [key, supps] : src)
-          dst[key].insert(supps.begin(), supps.end());
-      });
+      [](uint8_t& dst, const uint8_t& src) { dst |= src; });
+  std::vector<int64_t> supp_count(group_names.size());
+  group_supps.ForEach([&](uint64_t key, const uint8_t&) {
+    ++supp_count[size_t(int64_t(key) / supp_span)];
+  });
 
   struct OutRow {
     std::string key;
     int64_t cnt;
   };
   std::vector<OutRow> out;
-  for (auto& [key, supps] : group_supps)
-    out.push_back({key, int64_t(supps.size())});
+  for (size_t g = 0; g < group_names.size(); ++g)
+    if (supp_count[g] != 0) out.push_back({group_names[g], supp_count[g]});
   std::sort(out.begin(), out.end(), [](const OutRow& a, const OutRow& b) {
     return a.cnt != b.cnt ? a.cnt > b.cnt : a.key < b.key;
   });

@@ -4,9 +4,8 @@
 // order-independent encoding so the parallel merge is exact.
 
 #include <algorithm>
+#include <limits>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "tpch/queries.h"
 #include "util/date.h"
@@ -26,16 +25,11 @@ namespace nat = col::nation;
 // --- Q17: small-quantity-order revenue ---------------------------------------
 
 QueryResult Q17(const TpchDatabase& db, const ScanOptions& opt) {
-  using KeySet = std::unordered_set<int32_t>;
-  KeySet parts = ParAgg<KeySet>(
-      db.part, opt, {prt::partkey},
+  const std::vector<uint8_t> parts = KeyFlags(
+      db.part, opt, prt::partkey,
       {Predicate::Eq(prt::brand, Value::Str("Brand#23")),
        Predicate::Eq(prt::container, Value::Str("MED BOX"))},
-      [] { return KeySet{}; },
-      [](KeySet& s, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) s.insert(b.cols[0].i32[i]);
-      },
-      MergeUnion<KeySet>);
+      size_t(db.NumParts()) + 1);
 
   struct QtyAgg {
     int64_t sum = 0;
@@ -46,7 +40,7 @@ QueryResult Q17(const TpchDatabase& db, const ScanOptions& opt) {
       [&parts](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
           int32_t pk = b.cols[0].i32[i];
-          if (!parts.count(pk)) continue;
+          if (!parts[size_t(pk)]) continue;
           QtyAgg& a = t.Ref(uint64_t(pk));
           a.sum += b.cols[1].i32[i];
           ++a.count;
@@ -57,16 +51,21 @@ QueryResult Q17(const TpchDatabase& db, const ScanOptions& opt) {
         dst.count += src.count;
       });
 
+  // partkey -> quantity limit (0.2 * average); -inf admits no row, so
+  // parts outside the selection drop out without a second probe.
+  std::vector<double> limit(parts.size(),
+                            -std::numeric_limits<double>::infinity());
+  qty_agg.ForEach([&limit](uint64_t pk, const QtyAgg& a) {
+    limit[size_t(pk)] = 0.2 * (double(a.sum) / double(a.count));
+  });
+
   int64_t total = ParAgg<int64_t>(  // cents
       db.lineitem, opt, {li::partkey, li::quantity, li::extendedprice}, {},
       [] { return int64_t{0}; },
-      [&qty_agg](int64_t& t, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) {
-          const QtyAgg* a = qty_agg.Find(uint64_t(b.cols[0].i32[i]));
-          if (a == nullptr) continue;
-          double avg = double(a->sum) / double(a->count);
-          if (double(b.cols[1].i32[i]) < 0.2 * avg) t += b.cols[2].i64[i];
-        }
+      [&limit](int64_t& t, const Batch& b) {
+        for (uint32_t i = 0; i < b.count; ++i)
+          if (double(b.cols[1].i32[i]) < limit[size_t(b.cols[0].i32[i])])
+            t += b.cols[2].i64[i];
       },
       [](int64_t& dst, const int64_t& src) { dst += src; });
 
@@ -115,19 +114,25 @@ QueryResult Q18(const TpchDatabase& db, const ScanOptions& opt) {
       },
       MergeConcat<OutRow>);
 
-  std::unordered_set<int32_t> wanted;
-  for (const OutRow& r : out) wanted.insert(r.custkey);
-  using NameMap = std::unordered_map<int32_t, std::string>;
-  NameMap cust_name = ParAgg<NameMap>(
-      db.customer, opt, {cust::custkey, cust::name}, {},
-      [] { return NameMap{}; },
-      [&wanted](NameMap& m, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i)
-          if (wanted.count(b.cols[0].i32[i]))
-            m[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
-      },
-      MergeInsert<NameMap>);
-  for (OutRow& r : out) r.c_name = cust_name[r.custkey];
+  // custkey -> index into `names` for the customers of large orders, -1
+  // for every other customer; each customer row writes its own element.
+  std::vector<int32_t> name_idx(size_t(db.NumCustomers()) + 1, -1);
+  std::vector<std::string> names;
+  for (const OutRow& r : out) {
+    int32_t& idx = name_idx[size_t(r.custkey)];
+    if (idx < 0) {
+      idx = int32_t(names.size());
+      names.emplace_back();
+    }
+  }
+  ParScan(db.customer, opt, {cust::custkey, cust::name}, {},
+          [&](const Batch& b) {
+            for (uint32_t i = 0; i < b.count; ++i) {
+              int32_t idx = name_idx[size_t(b.cols[0].i32[i])];
+              if (idx >= 0) names[size_t(idx)] = b.cols[1].Str(i);
+            }
+          });
+  for (OutRow& r : out) r.c_name = names[size_t(name_idx[size_t(r.custkey)])];
 
   std::sort(out.begin(), out.end(), [](const OutRow& a, const OutRow& b) {
     if (a.totalprice != b.totalprice) return a.totalprice > b.totalprice;
@@ -149,28 +154,38 @@ QueryResult Q18(const TpchDatabase& db, const ScanOptions& opt) {
 // --- Q19: discounted revenue -----------------------------------------------------
 
 QueryResult Q19(const TpchDatabase& db, const ScanOptions& opt) {
-  struct PartInfo {
-    std::string brand, container;
-    int32_t size;
-  };
-  using PartMap = std::unordered_map<int32_t, PartInfo>;
-  PartMap parts = ParAgg<PartMap>(
-      db.part, opt, {prt::partkey, prt::brand, prt::container, prt::size},
-      {Predicate::Between(prt::size, Value::Int(1), Value::Int(15))},
-      [] { return PartMap{}; },
-      [](PartMap& m, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i)
-          m[b.cols[0].i32[i]] =
-              PartInfo{std::string(b.cols[1].Str(i)),
-                       std::string(b.cols[2].Str(i)), b.cols[3].i32[i]};
-      },
-      MergeInsert<PartMap>);
-
-  auto in = [](const std::string& v, std::initializer_list<const char*> set) {
+  auto in = [](std::string_view v, std::initializer_list<const char*> set) {
     for (const char* s : set)
       if (v == s) return true;
     return false;
   };
+
+  // partkey -> bit c set when the part meets the part side of OR clause c
+  // (brand, container, size); the quantity side is checked per lineitem.
+  const std::vector<uint8_t> part_clauses = ParDenseStore<uint8_t>(
+      db.part, opt, {prt::partkey, prt::brand, prt::container, prt::size},
+      {Predicate::Between(prt::size, Value::Int(1), Value::Int(15))},
+      size_t(db.NumParts()) + 1, [&in](auto& sink, const Batch& b) {
+        for (uint32_t i = 0; i < b.count; ++i) {
+          std::string_view brand = b.cols[1].Str(i);
+          std::string_view container = b.cols[2].Str(i);
+          int32_t size = b.cols[3].i32[i];
+          uint8_t clauses = 0;
+          if (brand == "Brand#12" &&
+              in(container, {"SM CASE", "SM BOX", "SM PACK", "SM PKG"}) &&
+              size <= 5)
+            clauses |= 1;
+          if (brand == "Brand#23" &&
+              in(container, {"MED BAG", "MED BOX", "MED PKG", "MED PACK"}) &&
+              size <= 10)
+            clauses |= 2;
+          if (brand == "Brand#34" &&
+              in(container, {"LG CASE", "LG BOX", "LG PACK", "LG PKG"}) &&
+              size <= 15)
+            clauses |= 4;
+          if (clauses != 0) sink.Store(size_t(b.cols[0].i32[i]), clauses);
+        }
+      });
 
   // Both lineitem string restrictions push into the scan: on frozen blocks
   // they run as dictionary-code comparisons and the strings themselves are
@@ -183,24 +198,14 @@ QueryResult Q19(const TpchDatabase& db, const ScanOptions& opt) {
        Predicate::Eq(li::shipinstruct, Value::Str("DELIVER IN PERSON")),
        Predicate::In(li::shipmode, {Value::Str("AIR"), Value::Str("REG AIR")})},
       [] { return int64_t{0}; },
-      [&parts, &in](int64_t& rev, const Batch& b) {
+      [&part_clauses](int64_t& rev, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          auto it = parts.find(b.cols[0].i32[i]);
-          if (it == parts.end()) continue;
-          const PartInfo& p = it->second;
+          uint8_t clauses = part_clauses[size_t(b.cols[0].i32[i])];
+          if (clauses == 0) continue;
           int32_t qty = b.cols[1].i32[i];
-          bool clause1 = p.brand == "Brand#12" &&
-                         in(p.container,
-                            {"SM CASE", "SM BOX", "SM PACK", "SM PKG"}) &&
-                         qty >= 1 && qty <= 11 && p.size <= 5;
-          bool clause2 = p.brand == "Brand#23" &&
-                         in(p.container,
-                            {"MED BAG", "MED BOX", "MED PKG", "MED PACK"}) &&
-                         qty >= 10 && qty <= 20 && p.size <= 10;
-          bool clause3 = p.brand == "Brand#34" &&
-                         in(p.container,
-                            {"LG CASE", "LG BOX", "LG PACK", "LG PKG"}) &&
-                         qty >= 20 && qty <= 30 && p.size <= 15;
+          bool clause1 = (clauses & 1) != 0 && qty >= 1 && qty <= 11;
+          bool clause2 = (clauses & 2) != 0 && qty >= 10 && qty <= 20;
+          bool clause3 = (clauses & 4) != 0 && qty >= 20 && qty <= 30;
           if (clause1 || clause2 || clause3)
             rev += b.cols[2].i64[i] * (100 - b.cols[3].i32[i]);
         }
@@ -219,15 +224,10 @@ QueryResult Q20(const TpchDatabase& db, const ScanOptions& opt) {
 
   // LIKE 'forest%' pushes as a SARGable prefix predicate — a code-range
   // comparison on frozen blocks — so p_name is never materialized.
-  using KeySet = std::unordered_set<int32_t>;
-  KeySet forest_parts = ParAgg<KeySet>(
-      db.part, opt, {prt::partkey},
+  const std::vector<uint8_t> forest_parts = KeyFlags(
+      db.part, opt, prt::partkey,
       {Predicate::Prefix(prt::name, Value::Str("forest"))},
-      [] { return KeySet{}; },
-      [](KeySet& s, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) s.insert(b.cols[0].i32[i]);
-      },
-      MergeUnion<KeySet>);
+      size_t(db.NumParts()) + 1);
 
   const int64_t supp_span = db.NumSuppliers() + 1;
   auto shipped_qty = ParHashAgg<int64_t>(  // (pk,sk) -> qty
@@ -236,28 +236,26 @@ QueryResult Q20(const TpchDatabase& db, const ScanOptions& opt) {
       [&forest_parts, supp_span](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
           int32_t pk = b.cols[0].i32[i];
-          if (!forest_parts.count(pk)) continue;
+          if (!forest_parts[size_t(pk)]) continue;
           t.Ref(uint64_t(int64_t(pk) * supp_span + b.cols[1].i32[i])) +=
               b.cols[2].i32[i];
         }
       },
       ApplyAdd{});
 
-  KeySet candidate_supp = ParAgg<KeySet>(
+  const std::vector<uint8_t> candidate_supp = ParDenseStore<uint8_t>(
       db.partsupp, opt, {ps::partkey, ps::suppkey, ps::availqty}, {},
-      [] { return KeySet{}; },
-      [&](KeySet& s, const Batch& b) {
+      size_t(supp_span), [&](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
           int32_t pk = b.cols[0].i32[i];
-          if (!forest_parts.count(pk)) continue;
+          if (!forest_parts[size_t(pk)]) continue;
           const int64_t* it = shipped_qty.Find(
               uint64_t(int64_t(pk) * supp_span + b.cols[1].i32[i]));
           int64_t q = it == nullptr ? 0 : *it;
           if (double(b.cols[2].i32[i]) > 0.5 * double(q) && q > 0)
-            s.insert(b.cols[1].i32[i]);
+            sink.Store(size_t(b.cols[1].i32[i]), 1);
         }
-      },
-      MergeUnion<KeySet>);
+      });
 
   int32_t canada = -1;
   DimScan(db.nation, opt, {nat::nationkey},
@@ -269,7 +267,7 @@ QueryResult Q20(const TpchDatabase& db, const ScanOptions& opt) {
           {Predicate::Eq(sup::nationkey, Value::Int(canada))},
           [&](const Batch& b) {
             for (uint32_t i = 0; i < b.count; ++i)
-              if (candidate_supp.count(b.cols[0].i32[i]))
+              if (candidate_supp[size_t(b.cols[0].i32[i])])
                 result.rows.push_back(std::string(b.cols[1].Str(i)) + "|" +
                                       std::string(b.cols[2].Str(i)));
           });
@@ -332,23 +330,24 @@ QueryResult Q21(const TpchDatabase& db, const ScanOptions& opt) {
   DimScan(db.nation, opt, {nat::nationkey},
           {Predicate::Eq(nat::name, Value::Str("SAUDI ARABIA"))},
           [&](const Batch& b) { saudi = b.cols[0].i32[0]; });
-  std::unordered_map<int32_t, std::string> saudi_supp;
+  // suppkey -> name of a Saudi supplier, empty for every other supplier.
+  std::vector<std::string> saudi_supp(size_t(db.NumSuppliers()) + 1);
   DimScan(db.supplier, opt, {sup::suppkey, sup::name},
           {Predicate::Eq(sup::nationkey, Value::Int(saudi))},
           [&](const Batch& b) {
             for (uint32_t i = 0; i < b.count; ++i)
-              saudi_supp[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
+              saudi_supp[size_t(b.cols[0].i32[i])] =
+                  std::string(b.cols[1].Str(i));
           });
 
   // numwait per saudi supplier: orders with status F where this supplier
   // was the only late one and other suppliers participated.
-  std::unordered_map<int32_t, int64_t> numwait;
+  std::vector<int64_t> numwait(saudi_supp.size());
   for (size_t o = 0; o < size_t(num_orders); ++o) {
     if (!status_f[o] || per_order[o].late < 0 || per_order[o].supp != -2)
       continue;
-    auto it = saudi_supp.find(per_order[o].late);
-    if (it == saudi_supp.end()) continue;
-    ++numwait[per_order[o].late];
+    if (saudi_supp[size_t(per_order[o].late)].empty()) continue;
+    ++numwait[size_t(per_order[o].late)];
   }
 
   struct OutRow {
@@ -356,7 +355,8 @@ QueryResult Q21(const TpchDatabase& db, const ScanOptions& opt) {
     int64_t count;
   };
   std::vector<OutRow> out;
-  for (auto& [sk, c] : numwait) out.push_back({saudi_supp[sk], c});
+  for (size_t sk = 0; sk < numwait.size(); ++sk)
+    if (numwait[sk] != 0) out.push_back({saudi_supp[sk], numwait[sk]});
   std::sort(out.begin(), out.end(), [](const OutRow& a, const OutRow& b) {
     return a.count != b.count ? a.count > b.count : a.name < b.name;
   });

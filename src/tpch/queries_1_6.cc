@@ -12,11 +12,17 @@
 // there is nothing to win from parallelism on a handful of rows. All
 // accumulations are exact (integer), so the parallel results are
 // identical to the one-slot ones.
+//
+// Lookups probed per fact row are flat: dbgen ordinals (orderkey via
+// OrderIdx, partkey, suppkey, custkey, nationkey) index dense vectors —
+// detail::ParDenseStore with an "absent" sentinel, detail::KeyFlags for
+// semi-joins — and composite keys go through detail::ParHashAgg. A
+// node-based hash container costs a hash, a bucket walk and a pointer
+// chase per probe, which dominated the operator bodies.
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "exec/dict_memo.h"
 #include "tpch/queries.h"
@@ -46,22 +52,20 @@ QueryResult Q1(const TpchDatabase& db, const ScanOptions& opt) {
     int64_t sum_disc = 0;        // percent units
     int64_t count = 0;
   };
-  // One 3 MB dense state TOTAL (not per worker slot): the (returnflag,
-  // linestatus) key space is dense, so the partitioned-aggregation engine
-  // shares a single vector across slots with no merge.
-  struct Upd {
-    int32_t qty, disc, tax;
-    int64_t ext;
-  };
+  // (returnflag, linestatus) are upper-case letters: a 26 x 26 compact
+  // key gives each slot its own small array (the four live groups stay in
+  // that slot's cache), merged element-wise.
+  constexpr size_t kLetters = 26;
   using Groups = std::vector<Agg>;
   const int32_t cutoff = MakeDate(1998, 9, 2);
 
-  Groups groups = ParDenseAgg<Agg, Upd>(
+  Groups groups = ParAgg<Groups>(
       db.lineitem, opt,
       {li::quantity, li::extendedprice, li::discount, li::tax, li::returnflag,
        li::linestatus},
-      {Predicate::Le(li::shipdate, Value::Int(cutoff))}, 256 * 256,
-      [](auto& sink, const Batch& b) {
+      {Predicate::Le(li::shipdate, Value::Int(cutoff))},
+      [] { return Groups(kLetters * kLetters); },
+      [](Groups& g, const Batch& b) {
         const int32_t* qty = b.cols[0].i32.data();
         const int64_t* ext = b.cols[1].i64.data();
         const int32_t* disc = b.cols[2].i32.data();
@@ -69,18 +73,25 @@ QueryResult Q1(const TpchDatabase& db, const ScanOptions& opt) {
         const int32_t* rf = b.cols[4].i32.data();
         const int32_t* ls = b.cols[5].i32.data();
         for (uint32_t i = 0; i < b.count; ++i) {
-          sink.Add(size_t(rf[i]) * 256 + size_t(ls[i]),
-                   Upd{qty[i], disc[i], tax[i], ext[i]});
+          Agg& a = g[size_t(rf[i] - 'A') * kLetters + size_t(ls[i] - 'A')];
+          int64_t dp = ext[i] * (100 - disc[i]);
+          a.sum_qty += qty[i];
+          a.sum_base += ext[i];
+          a.sum_disc_price += dp;
+          a.sum_charge += dp * (100 + tax[i]) / 100;
+          a.sum_disc += disc[i];
+          ++a.count;
         }
       },
-      [](Agg& a, const Upd& u) {
-        int64_t dp = u.ext * (100 - u.disc);
-        a.sum_qty += u.qty;
-        a.sum_base += u.ext;
-        a.sum_disc_price += dp;
-        a.sum_charge += dp * (100 + u.tax) / 100;
-        a.sum_disc += u.disc;
-        ++a.count;
+      [](Groups& dst, const Groups& src) {
+        for (size_t k = 0; k < dst.size(); ++k) {
+          dst[k].sum_qty += src[k].sum_qty;
+          dst[k].sum_base += src[k].sum_base;
+          dst[k].sum_disc_price += src[k].sum_disc_price;
+          dst[k].sum_charge += src[k].sum_charge;
+          dst[k].sum_disc += src[k].sum_disc;
+          dst[k].count += src[k].count;
+        }
       });
 
   QueryResult result;
@@ -90,9 +101,10 @@ QueryResult Q1(const TpchDatabase& db, const ScanOptions& opt) {
     char row[256];
     std::snprintf(
         row, sizeof(row), "%c|%c|%lld|%.2f|%.2f|%.2f|%.2f|%.2f|%.4f|%lld",
-        char(k / 256), char(k % 256), (long long)g.sum_qty,
-        double(g.sum_base) / 100, double(g.sum_disc_price) / 1e4,
-        double(g.sum_charge) / 1e4, double(g.sum_qty) / double(g.count),
+        char('A' + k / kLetters), char('A' + k % kLetters),
+        (long long)g.sum_qty, double(g.sum_base) / 100,
+        double(g.sum_disc_price) / 1e4, double(g.sum_charge) / 1e4,
+        double(g.sum_qty) / double(g.count),
         double(g.sum_base) / 100 / double(g.count),
         double(g.sum_disc) / 100 / double(g.count), (long long)g.count);
     result.rows.push_back(row);
@@ -108,72 +120,47 @@ QueryResult Q2(const TpchDatabase& db, const ScanOptions& opt) {
   DimScan(db.region, opt, {reg::regionkey},
           {Predicate::Eq(reg::name, Value::Str("EUROPE"))},
           [&](const Batch& b) { europe = b.cols[0].i32[0]; });
-  std::unordered_map<int32_t, std::string> nation_name;
+  // nationkey -> name, empty outside Europe.
+  std::vector<std::string> nation_name(db.nation.num_rows());
   DimScan(db.nation, opt, {nat::nationkey, nat::name},
           {Predicate::Eq(nat::regionkey, Value::Int(europe))},
           [&](const Batch& b) {
             for (uint32_t i = 0; i < b.count; ++i)
-              nation_name[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
+              nation_name[size_t(b.cols[0].i32[i])] =
+                  std::string(b.cols[1].Str(i));
           });
 
   struct SuppInfo {
     std::string name, address, phone, comment, nation;
     int64_t acctbal;
   };
-  std::unordered_map<int32_t, SuppInfo> supp;
+  // suppkey -> details of a European supplier (empty nation otherwise).
+  std::vector<SuppInfo> supp(size_t(db.NumSuppliers()) + 1);
   DimScan(db.supplier, opt,
           {sup::suppkey, sup::name, sup::address, sup::nationkey,
            sup::phone, sup::acctbal, sup::comment},
           [&](const Batch& b) {
             for (uint32_t i = 0; i < b.count; ++i) {
-              auto it = nation_name.find(b.cols[3].i32[i]);
-              if (it == nation_name.end()) continue;
-              supp[b.cols[0].i32[i]] =
+              const std::string& nation =
+                  nation_name[size_t(b.cols[3].i32[i])];
+              if (nation.empty()) continue;
+              supp[size_t(b.cols[0].i32[i])] =
                   SuppInfo{std::string(b.cols[1].Str(i)),
                            std::string(b.cols[2].Str(i)),
                            std::string(b.cols[4].Str(i)),
-                           std::string(b.cols[6].Str(i)), it->second,
+                           std::string(b.cols[6].Str(i)), nation,
                            b.cols[5].i64[i]};
             }
           });
 
-  // partsupp rows of European suppliers + per-part minimum cost.
-  struct PsRow {
-    int32_t partkey, suppkey;
-    int64_t cost;
-  };
-  struct PsState {
-    std::vector<PsRow> rows;
-    std::unordered_map<int32_t, int64_t> min_cost;
-  };
-  PsState pstate = ParAgg<PsState>(
-      db.partsupp, opt, {ps::partkey, ps::suppkey, ps::supplycost}, {},
-      [] { return PsState{}; },
-      [&supp](PsState& s, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) {
-          int32_t sk = b.cols[1].i32[i];
-          if (!supp.count(sk)) continue;
-          int32_t pk = b.cols[0].i32[i];
-          int64_t cost = b.cols[2].i64[i];
-          s.rows.push_back({pk, sk, cost});
-          auto [it, fresh] = s.min_cost.emplace(pk, cost);
-          if (!fresh) it->second = std::min(it->second, cost);
-        }
-      },
-      [](PsState& dst, PsState& src) {
-        MergeConcat(dst.rows, src.rows);
-        for (const auto& [pk, cost] : src.min_cost) {
-          auto [it, fresh] = dst.min_cost.emplace(pk, cost);
-          if (!fresh) it->second = std::min(it->second, cost);
-        }
-      });
-
-  // Qualifying parts: size = 15, type like '%BRASS'.
-  auto part_mfgr = ParAgg<std::unordered_map<int32_t, std::string>>(
+  // Qualifying parts: size = 15, type like '%BRASS'; partkey -> p_mfgr,
+  // empty for every other part.
+  using MfgrRows = std::vector<std::pair<int32_t, std::string>>;
+  MfgrRows mfgr_rows = ParAgg<MfgrRows>(
       db.part, opt, {prt::partkey, prt::mfgr, prt::type},
       {Predicate::Eq(prt::size, Value::Int(15))},
-      [] { return std::unordered_map<int32_t, std::string>{}; },
-      [](std::unordered_map<int32_t, std::string>& m, const Batch& b) {
+      [] { return MfgrRows{}; },
+      [](MfgrRows& rows, const Batch& b) {
         // LIKE '%BRASS' is a suffix match — not SARGable — but on coded
         // batches it runs once per p_type dictionary code, not per row.
         DictFilter brass(b.cols[2], [](std::string_view t) {
@@ -181,10 +168,36 @@ QueryResult Q2(const TpchDatabase& db, const ScanOptions& opt) {
         });
         for (uint32_t i = 0; i < b.count; ++i) {
           if (!brass(i)) continue;
-          m[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
+          rows.emplace_back(b.cols[0].i32[i], std::string(b.cols[1].Str(i)));
         }
       },
-      MergeInsert<std::unordered_map<int32_t, std::string>>);
+      MergeConcat<std::pair<int32_t, std::string>>);
+  std::vector<std::string> part_mfgr(size_t(db.NumParts()) + 1);
+  for (auto& [pk, mfgr] : mfgr_rows) part_mfgr[size_t(pk)] = std::move(mfgr);
+
+  // partsupp rows of qualifying parts and European suppliers; the minimum
+  // cost per part is taken over exactly these rows.
+  struct PsRow {
+    int32_t partkey, suppkey;
+    int64_t cost;
+  };
+  using PsRows = std::vector<PsRow>;
+  PsRows ps_rows = ParAgg<PsRows>(
+      db.partsupp, opt, {ps::partkey, ps::suppkey, ps::supplycost}, {},
+      [] { return PsRows{}; },
+      [&](PsRows& rows, const Batch& b) {
+        for (uint32_t i = 0; i < b.count; ++i) {
+          int32_t pk = b.cols[0].i32[i];
+          int32_t sk = b.cols[1].i32[i];
+          if (part_mfgr[size_t(pk)].empty() || supp[size_t(sk)].nation.empty())
+            continue;
+          rows.push_back({pk, sk, b.cols[2].i64[i]});
+        }
+      },
+      MergeConcat<PsRow>);
+  std::vector<int64_t> min_cost(part_mfgr.size(), INT64_MAX);
+  for (const PsRow& r : ps_rows)
+    min_cost[size_t(r.partkey)] = std::min(min_cost[size_t(r.partkey)], r.cost);
 
   struct OutRow {
     int64_t acctbal;
@@ -193,13 +206,12 @@ QueryResult Q2(const TpchDatabase& db, const ScanOptions& opt) {
     std::string mfgr, address, phone, comment;
   };
   std::vector<OutRow> out;
-  for (const PsRow& r : pstate.rows) {
-    auto pit = part_mfgr.find(r.partkey);
-    if (pit == part_mfgr.end()) continue;
-    if (r.cost != pstate.min_cost[r.partkey]) continue;
-    const SuppInfo& s = supp[r.suppkey];
-    out.push_back({s.acctbal, s.name, s.nation, r.partkey, pit->second,
-                   s.address, s.phone, s.comment});
+  for (const PsRow& r : ps_rows) {
+    if (r.cost != min_cost[size_t(r.partkey)]) continue;
+    const SuppInfo& s = supp[size_t(r.suppkey)];
+    out.push_back({s.acctbal, s.name, s.nation, r.partkey,
+                   part_mfgr[size_t(r.partkey)], s.address, s.phone,
+                   s.comment});
   }
   std::sort(out.begin(), out.end(), [](const OutRow& a, const OutRow& b) {
     if (a.acctbal != b.acctbal) return a.acctbal > b.acctbal;
@@ -223,32 +235,31 @@ QueryResult Q2(const TpchDatabase& db, const ScanOptions& opt) {
 QueryResult Q3(const TpchDatabase& db, const ScanOptions& opt) {
   const int32_t date = MakeDate(1995, 3, 15);
 
-  auto building = ParAgg<std::unordered_set<int32_t>>(
-      db.customer, opt, {cust::custkey},
+  const std::vector<uint8_t> building = KeyFlags(
+      db.customer, opt, cust::custkey,
       {Predicate::Eq(cust::mktsegment, Value::Str("BUILDING"))},
-      [] { return std::unordered_set<int32_t>{}; },
-      [](std::unordered_set<int32_t>& s, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) s.insert(b.cols[0].i32[i]);
-      },
-      MergeUnion<std::unordered_set<int32_t>>);
+      size_t(db.NumCustomers()) + 1);
 
-  struct OrdInfo {
+  // Order index -> (orderdate, shippriority) of early BUILDING orders;
+  // kAbsent marks every other order. One writer per element.
+  struct alignas(8) OrdInfo {
     int32_t orderdate;
     int32_t shippriority;
   };
-  using OrdMap = std::unordered_map<int64_t, OrdInfo>;
-  OrdMap ord_info = ParAgg<OrdMap>(
+  constexpr int32_t kAbsent = INT32_MIN;
+  const std::vector<OrdInfo> ord_info = ParDenseStore<OrdInfo>(
       db.orders, opt,
       {ord::orderkey, ord::custkey, ord::orderdate, ord::shippriority},
       {Predicate::Lt(ord::orderdate, Value::Int(date))},
-      [] { return OrdMap{}; },
-      [&building](OrdMap& m, const Batch& b) {
+      size_t(db.NumOrders()),
+      [&building](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          if (!building.count(b.cols[1].i32[i])) continue;
-          m[b.cols[0].i64[i]] = OrdInfo{b.cols[2].i32[i], b.cols[3].i32[i]};
+          if (!building[size_t(b.cols[1].i32[i])]) continue;
+          sink.Store(size_t(OrderIdx(b.cols[0].i64[i])),
+                     OrdInfo{b.cols[2].i32[i], b.cols[3].i32[i]});
         }
       },
-      MergeInsert<OrdMap>);
+      OrdInfo{kAbsent, 0});
 
   auto revenue = ParHashAgg<int64_t>(
       db.lineitem, opt, {li::orderkey, li::extendedprice, li::discount},
@@ -256,7 +267,7 @@ QueryResult Q3(const TpchDatabase& db, const ScanOptions& opt) {
       [&ord_info](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
           int64_t ok = b.cols[0].i64[i];
-          if (!ord_info.count(ok)) continue;
+          if (ord_info[size_t(OrderIdx(ok))].orderdate == kAbsent) continue;
           t.Ref(uint64_t(ok)) += b.cols[1].i64[i] * (100 - b.cols[2].i32[i]);
         }
       },
@@ -270,7 +281,7 @@ QueryResult Q3(const TpchDatabase& db, const ScanOptions& opt) {
   out.reserve(revenue.size());
   revenue.ForEach([&](uint64_t key, const int64_t& rev) {
     const int64_t ok = int64_t(key);
-    const OrdInfo& oi = ord_info[ok];
+    const OrdInfo& oi = ord_info[size_t(OrderIdx(ok))];
     out.push_back({ok, rev, oi.orderdate, oi.shippriority});
   });
   std::sort(out.begin(), out.end(), [](const OutRow& a, const OutRow& b) {
@@ -296,55 +307,51 @@ QueryResult Q4(const TpchDatabase& db, const ScanOptions& opt) {
   const int32_t lo = MakeDate(1993, 7, 1);
   const int32_t hi = MakeDate(1993, 10, 1);
 
-  // Orders in the quarter -> priority, keyed through a per-worker string
+  // Orders with at least one late lineitem: an idempotent flag per order.
+  const std::vector<uint8_t> late = ParDenseStore<uint8_t>(
+      db.lineitem, opt, {li::orderkey, li::commitdate, li::receiptdate}, {},
+      size_t(db.NumOrders()), [](auto& sink, const Batch& b) {
+        for (uint32_t i = 0; i < b.count; ++i) {
+          if (b.cols[1].i32[i] >= b.cols[2].i32[i]) continue;
+          sink.Store(size_t(OrderIdx(b.cols[0].i64[i])), 1);
+        }
+      });
+
+  // Quarter orders per priority, keyed through a per-worker string
   // interner: on coded batches each distinct o_orderpriority dictionary
-  // code resolves to a dense id once per batch, and the per-order map
-  // stores a uint32 instead of a heap string. Worker-local id spaces are
+  // code resolves to a dense id once per batch. Worker-local id spaces are
   // reconciled by NAME in the merge — dictionary codes are block-local and
   // interner ids are worker-local, so the string value is the only key
-  // that is stable across both.
+  // that is stable across both. Priorities present in the quarter appear
+  // in the output even with a zero count.
   struct Quarter {
     StringKeyInterner prios;
-    std::unordered_map<int64_t, uint32_t> orders;
+    std::vector<int64_t> late_orders;  // by interner id
   };
-  Quarter in_quarter = ParAgg<Quarter>(
+  Quarter quarter = ParAgg<Quarter>(
       db.orders, opt, {ord::orderkey, ord::orderpriority},
       {Predicate::Between(ord::orderdate, Value::Int(lo),
                           Value::Int(hi - 1))},
       [] { return Quarter{}; },
-      [](Quarter& q, const Batch& b) {
+      [&late](Quarter& q, const Batch& b) {
         StringKeyInterner::BatchKeys prio(q.prios, b.cols[1]);
-        for (uint32_t i = 0; i < b.count; ++i)
-          q.orders.emplace(b.cols[0].i64[i], prio(i));
-      },
-      [](Quarter& dst, Quarter& src) {
-        std::vector<uint32_t> remap(src.prios.size());
-        for (uint32_t id = 0; id < src.prios.size(); ++id)
-          remap[id] = dst.prios.Intern(src.prios.name(id));
-        for (const auto& [ok, id] : src.orders)
-          dst.orders.emplace(ok, remap[id]);
-      });
-
-  // Distinct quarter orders with at least one late lineitem.
-  auto late = ParAgg<std::unordered_set<int64_t>>(
-      db.lineitem, opt, {li::orderkey, li::commitdate, li::receiptdate}, {},
-      [] { return std::unordered_set<int64_t>{}; },
-      [&in_quarter](std::unordered_set<int64_t>& s, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          if (b.cols[1].i32[i] >= b.cols[2].i32[i]) continue;
-          int64_t ok = b.cols[0].i64[i];
-          if (in_quarter.orders.count(ok)) s.insert(ok);
+          const uint32_t id = prio(i);
+          if (id >= q.late_orders.size()) q.late_orders.resize(id + 1);
+          q.late_orders[id] += late[size_t(OrderIdx(b.cols[0].i64[i]))];
         }
       },
-      MergeUnion<std::unordered_set<int64_t>>);
+      [](Quarter& dst, Quarter& src) {
+        for (uint32_t id = 0; id < src.prios.size(); ++id) {
+          const uint32_t to = dst.prios.Intern(src.prios.name(id));
+          if (to >= dst.late_orders.size()) dst.late_orders.resize(to + 1);
+          dst.late_orders[to] += src.late_orders[id];
+        }
+      });
 
-  // Priorities present in the quarter appear in the output even with a
-  // zero count, exactly like the plan this replaces.
   std::map<std::string, int64_t> counts;
-  for (const auto& [ok, id] : in_quarter.orders)
-    counts[in_quarter.prios.name(id)];
-  for (int64_t ok : late)
-    ++counts[in_quarter.prios.name(in_quarter.orders[ok])];
+  for (uint32_t id = 0; id < quarter.prios.size(); ++id)
+    counts[quarter.prios.name(id)] = quarter.late_orders[id];
 
   QueryResult result;
   for (auto& [p, c] : counts)
@@ -362,66 +369,68 @@ QueryResult Q5(const TpchDatabase& db, const ScanOptions& opt) {
   DimScan(db.region, opt, {reg::regionkey},
           {Predicate::Eq(reg::name, Value::Str("ASIA"))},
           [&](const Batch& b) { asia = b.cols[0].i32[0]; });
-  std::unordered_map<int32_t, std::string> nation_name;
+  // nationkey -> name, empty outside Asia.
+  std::vector<std::string> nation_name(db.nation.num_rows());
   DimScan(db.nation, opt, {nat::nationkey, nat::name},
           {Predicate::Eq(nat::regionkey, Value::Int(asia))},
           [&](const Batch& b) {
             for (uint32_t i = 0; i < b.count; ++i)
-              nation_name[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
+              nation_name[size_t(b.cols[0].i32[i])] =
+                  std::string(b.cols[1].Str(i));
           });
+  auto asian = [&nation_name](int32_t nk) {
+    return !nation_name[size_t(nk)].empty();
+  };
 
-  using KeyMap = std::unordered_map<int32_t, int32_t>;
-  KeyMap cust_nation = ParAgg<KeyMap>(  // asian customers
+  // custkey -> nationkey of Asian customers, -1 otherwise.
+  const std::vector<int8_t> cust_nation = ParDenseStore<int8_t>(
       db.customer, opt, {cust::custkey, cust::nationkey}, {},
-      [] { return KeyMap{}; },
-      [&nation_name](KeyMap& m, const Batch& b) {
+      size_t(db.NumCustomers()) + 1,
+      [&asian](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i)
-          if (nation_name.count(b.cols[1].i32[i]))
-            m[b.cols[0].i32[i]] = b.cols[1].i32[i];
+          if (asian(b.cols[1].i32[i]))
+            sink.Store(size_t(b.cols[0].i32[i]), int8_t(b.cols[1].i32[i]));
       },
-      MergeInsert<KeyMap>);
+      int8_t{-1});
 
-  using OrdMap = std::unordered_map<int64_t, int32_t>;
-  OrdMap order_nation = ParAgg<OrdMap>(
+  // Order index -> customer nation of the year's Asian orders, -1 otherwise.
+  const std::vector<int8_t> order_nation = ParDenseStore<int8_t>(
       db.orders, opt, {ord::orderkey, ord::custkey},
       {Predicate::Between(ord::orderdate, Value::Int(lo),
                           Value::Int(hi - 1))},
-      [] { return OrdMap{}; },
-      [&cust_nation](OrdMap& m, const Batch& b) {
+      size_t(db.NumOrders()),
+      [&cust_nation](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          auto it = cust_nation.find(b.cols[1].i32[i]);
-          if (it != cust_nation.end()) m[b.cols[0].i64[i]] = it->second;
+          int8_t nk = cust_nation[size_t(b.cols[1].i32[i])];
+          if (nk >= 0) sink.Store(size_t(OrderIdx(b.cols[0].i64[i])), nk);
         }
       },
-      MergeInsert<OrdMap>);
+      int8_t{-1});
 
-  std::unordered_map<int32_t, int32_t> supp_nation;
+  std::vector<int32_t> supp_nation(size_t(db.NumSuppliers()) + 1, -1);
   DimScan(db.supplier, opt, {sup::suppkey, sup::nationkey},
           [&](const Batch& b) {
             for (uint32_t i = 0; i < b.count; ++i)
-              if (nation_name.count(b.cols[1].i32[i]))
-                supp_nation[b.cols[0].i32[i]] = b.cols[1].i32[i];
+              if (asian(b.cols[1].i32[i]))
+                supp_nation[size_t(b.cols[0].i32[i])] = b.cols[1].i32[i];
           });
 
-  auto revenue = ParAgg<std::unordered_map<int32_t, int64_t>>(
+  auto revenue = ParHashAgg<int64_t>(  // nationkey -> revenue
       db.lineitem, opt,
       {li::orderkey, li::suppkey, li::extendedprice, li::discount}, {},
-      [] { return std::unordered_map<int32_t, int64_t>{}; },
-      [&order_nation, &supp_nation](std::unordered_map<int32_t, int64_t>& m,
-                                    const Batch& b) {
+      [&order_nation, &supp_nation](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          auto oit = order_nation.find(b.cols[0].i64[i]);
-          if (oit == order_nation.end()) continue;
-          auto sit = supp_nation.find(b.cols[1].i32[i]);
-          if (sit == supp_nation.end()) continue;
-          if (oit->second != sit->second) continue;
-          m[oit->second] += b.cols[2].i64[i] * (100 - b.cols[3].i32[i]);
+          int32_t nk = order_nation[size_t(OrderIdx(b.cols[0].i64[i]))];
+          if (nk < 0 || supp_nation[size_t(b.cols[1].i32[i])] != nk) continue;
+          t.Ref(uint64_t(nk)) += b.cols[2].i64[i] * (100 - b.cols[3].i32[i]);
         }
       },
-      MergeAdd<std::unordered_map<int32_t, int64_t>>);
+      ApplyAdd{});
 
   std::vector<std::pair<int64_t, std::string>> out;
-  for (auto& [nk, rev] : revenue) out.emplace_back(rev, nation_name[nk]);
+  revenue.ForEach([&](uint64_t nk, const int64_t& rev) {
+    out.emplace_back(rev, nation_name[size_t(nk)]);
+  });
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.first != b.first ? a.first > b.first : a.second < b.second;
   });

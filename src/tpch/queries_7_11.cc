@@ -5,8 +5,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "tpch/queries.h"
 #include "util/date.h"
@@ -27,13 +25,13 @@ namespace reg = col::region;
 namespace {
 
 /// nationkey -> name for all 25 nations.
-std::unordered_map<int32_t, std::string> AllNations(const TpchDatabase& db,
-                                                    const ScanOptions& opt) {
-  std::unordered_map<int32_t, std::string> names;
+std::vector<std::string> AllNations(const TpchDatabase& db,
+                                    const ScanOptions& opt) {
+  std::vector<std::string> names(db.nation.num_rows());
   DimScan(db.nation, opt, {nat::nationkey, nat::name},
           [&](const Batch& b) {
             for (uint32_t i = 0; i < b.count; ++i)
-              names[b.cols[0].i32[i]] = std::string(b.cols[1].Str(i));
+              names[size_t(b.cols[0].i32[i])] = std::string(b.cols[1].Str(i));
           });
   return names;
 }
@@ -69,59 +67,58 @@ QueryResult Q7(const TpchDatabase& db, const ScanOptions& opt) {
   const int32_t germany = NationKeyOf(db, opt, "GERMANY");
   const int32_t lo = MakeDate(1995, 1, 1), hi = MakeDate(1996, 12, 31);
 
-  std::unordered_map<int32_t, int32_t> supp_nation;
+  // nationkey of FRANCE / GERMANY suppliers and customers, -1 otherwise.
+  auto pair_nation = [france, germany](int32_t nk) -> int8_t {
+    return nk == france || nk == germany ? int8_t(nk) : int8_t{-1};
+  };
+  std::vector<int8_t> supp_nation(size_t(db.NumSuppliers()) + 1, -1);
   DimScan(db.supplier, opt, {sup::suppkey, sup::nationkey},
           [&](const Batch& b) {
-            for (uint32_t i = 0; i < b.count; ++i) {
-              int32_t nk = b.cols[1].i32[i];
-              if (nk == france || nk == germany)
-                supp_nation[b.cols[0].i32[i]] = nk;
-            }
+            for (uint32_t i = 0; i < b.count; ++i)
+              supp_nation[size_t(b.cols[0].i32[i])] =
+                  pair_nation(b.cols[1].i32[i]);
           });
-  using KeyMap = std::unordered_map<int32_t, int32_t>;
-  KeyMap cust_nation = ParAgg<KeyMap>(
+  const std::vector<int8_t> cust_nation = ParDenseStore<int8_t>(
       db.customer, opt, {cust::custkey, cust::nationkey}, {},
-      [] { return KeyMap{}; },
-      [france, germany](KeyMap& m, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) {
-          int32_t nk = b.cols[1].i32[i];
-          if (nk == france || nk == germany) m[b.cols[0].i32[i]] = nk;
-        }
+      size_t(db.NumCustomers()) + 1,
+      [&pair_nation](auto& sink, const Batch& b) {
+        for (uint32_t i = 0; i < b.count; ++i)
+          sink.Store(size_t(b.cols[0].i32[i]), pair_nation(b.cols[1].i32[i]));
       },
-      MergeInsert<KeyMap>);
+      int8_t{-1});
   std::vector<int32_t> order_cust = OrderCustVector(db, opt);
 
   // (supp_nation, cust_nation, year) -> volume.
-  using VolMap = std::map<std::tuple<int32_t, int32_t, int32_t>, int64_t>;
-  VolMap volume = ParAgg<VolMap>(
+  auto volume = ParHashAgg<int64_t>(
       db.lineitem, opt,
       {li::orderkey, li::suppkey, li::extendedprice, li::discount,
        li::shipdate},
       {Predicate::Between(li::shipdate, Value::Int(lo), Value::Int(hi))},
-      [] { return VolMap{}; },
-      [&](VolMap& m, const Batch& b) {
+      [&](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          auto sit = supp_nation.find(b.cols[1].i32[i]);
-          if (sit == supp_nation.end()) continue;
-          auto cit = cust_nation.find(
-              order_cust[size_t(OrderIdx(b.cols[0].i64[i]))]);
-          if (cit == cust_nation.end()) continue;
-          if (sit->second == cit->second) continue;
-          m[{sit->second, cit->second, DateYear(b.cols[4].i32[i])}] +=
+          int32_t sn = supp_nation[size_t(b.cols[1].i32[i])];
+          if (sn < 0) continue;
+          int32_t cn = cust_nation[size_t(
+              order_cust[size_t(OrderIdx(b.cols[0].i64[i]))])];
+          if (cn < 0 || cn == sn) continue;
+          t.Ref(uint64_t(sn) << 40 | uint64_t(cn) << 20 |
+                uint64_t(DateYear(b.cols[4].i32[i]))) +=
               b.cols[2].i64[i] * (100 - b.cols[3].i32[i]);
         }
       },
-      MergeAdd<VolMap>);
+      ApplyAdd{});
 
-  auto nation_of = [&](int32_t nk) {
-    return nk == france ? std::string("FRANCE") : std::string("GERMANY");
+  auto nation_of = [&](uint64_t nk) {
+    return int32_t(nk) == france ? std::string("FRANCE")
+                                 : std::string("GERMANY");
   };
   QueryResult result;
-  for (auto& [key, vol] : volume) {
-    auto [sn, cn, year] = key;
-    result.rows.push_back(nation_of(sn) + "|" + nation_of(cn) + "|" +
-                          std::to_string(year) + "|" + F2(double(vol) / 1e4));
-  }
+  volume.ForEach([&](uint64_t key, const int64_t& vol) {
+    result.rows.push_back(nation_of(key >> 40) + "|" +
+                          nation_of((key >> 20) & 0xFFFFF) + "|" +
+                          std::to_string(key & 0xFFFFF) + "|" +
+                          F2(double(vol) / 1e4));
+  });
   std::sort(result.rows.begin(), result.rows.end());
   return result;
 }
@@ -136,51 +133,46 @@ QueryResult Q8(const TpchDatabase& db, const ScanOptions& opt) {
   DimScan(db.region, opt, {reg::regionkey},
           {Predicate::Eq(reg::name, Value::Str("AMERICA"))},
           [&](const Batch& b) { america = b.cols[0].i32[0]; });
-  std::unordered_set<int32_t> american_nations;
+  std::vector<uint8_t> american_nation(db.nation.num_rows());
   DimScan(db.nation, opt, {nat::nationkey},
           {Predicate::Eq(nat::regionkey, Value::Int(america))},
           [&](const Batch& b) {
             for (uint32_t i = 0; i < b.count; ++i)
-              american_nations.insert(b.cols[0].i32[i]);
+              american_nation[size_t(b.cols[0].i32[i])] = 1;
           });
 
-  using KeySet = std::unordered_set<int32_t>;
-  KeySet parts = ParAgg<KeySet>(
-      db.part, opt, {prt::partkey},
+  const std::vector<uint8_t> parts = KeyFlags(
+      db.part, opt, prt::partkey,
       {Predicate::Eq(prt::type, Value::Str("ECONOMY ANODIZED STEEL"))},
-      [] { return KeySet{}; },
-      [](KeySet& s, const Batch& b) {
-        for (uint32_t i = 0; i < b.count; ++i) s.insert(b.cols[0].i32[i]);
-      },
-      MergeUnion<KeySet>);
+      size_t(db.NumParts()) + 1);
 
-  KeySet american_custs = ParAgg<KeySet>(
+  const std::vector<uint8_t> american_cust = ParDenseStore<uint8_t>(
       db.customer, opt, {cust::custkey, cust::nationkey}, {},
-      [] { return KeySet{}; },
-      [&american_nations](KeySet& s, const Batch& b) {
+      size_t(db.NumCustomers()) + 1,
+      [&american_nation](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i)
-          if (american_nations.count(b.cols[1].i32[i]))
-            s.insert(b.cols[0].i32[i]);
-      },
-      MergeUnion<KeySet>);
+          if (american_nation[size_t(b.cols[1].i32[i])])
+            sink.Store(size_t(b.cols[0].i32[i]), 1);
+      });
 
-  using OrdMap = std::unordered_map<int64_t, int32_t>;
-  OrdMap order_year = ParAgg<OrdMap>(
+  // Order index -> order year of American orders in the window, 0 for
+  // every other order.
+  const std::vector<int16_t> order_year = ParDenseStore<int16_t>(
       db.orders, opt, {ord::orderkey, ord::custkey, ord::orderdate},
       {Predicate::Between(ord::orderdate, Value::Int(lo), Value::Int(hi))},
-      [] { return OrdMap{}; },
-      [&american_custs](OrdMap& m, const Batch& b) {
+      size_t(db.NumOrders()),
+      [&american_cust](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i)
-          if (american_custs.count(b.cols[1].i32[i]))
-            m[b.cols[0].i64[i]] = DateYear(b.cols[2].i32[i]);
-      },
-      MergeInsert<OrdMap>);
+          if (american_cust[size_t(b.cols[1].i32[i])])
+            sink.Store(size_t(OrderIdx(b.cols[0].i64[i])),
+                       int16_t(DateYear(b.cols[2].i32[i])));
+      });
 
-  std::unordered_map<int32_t, bool> supp_is_brazil;
+  std::vector<uint8_t> supp_is_brazil(size_t(db.NumSuppliers()) + 1);
   DimScan(db.supplier, opt, {sup::suppkey, sup::nationkey},
           [&](const Batch& b) {
             for (uint32_t i = 0; i < b.count; ++i)
-              supp_is_brazil[b.cols[0].i32[i]] =
+              supp_is_brazil[size_t(b.cols[0].i32[i])] =
                   b.cols[1].i32[i] == brazil;
           });
 
@@ -199,13 +191,13 @@ QueryResult Q8(const TpchDatabase& db, const ScanOptions& opt) {
       [] { return ShareMap{}; },
       [&](ShareMap& m, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          if (!parts.count(b.cols[1].i32[i])) continue;
-          auto oit = order_year.find(b.cols[0].i64[i]);
-          if (oit == order_year.end()) continue;
+          if (!parts[size_t(b.cols[1].i32[i])]) continue;
+          int32_t year = order_year[size_t(OrderIdx(b.cols[0].i64[i]))];
+          if (year == 0) continue;
           int64_t vol = b.cols[3].i64[i] * (100 - b.cols[4].i32[i]);
-          Share& s = m[oit->second];
+          Share& s = m[year];
           s.total += vol;
-          if (supp_is_brazil[b.cols[2].i32[i]]) s.brazil += vol;
+          if (supp_is_brazil[size_t(b.cols[2].i32[i])]) s.brazil += vol;
         }
       },
       [](ShareMap& dst, const ShareMap& src) {
@@ -230,22 +222,19 @@ QueryResult Q8(const TpchDatabase& db, const ScanOptions& opt) {
 QueryResult Q9(const TpchDatabase& db, const ScanOptions& opt) {
   auto nations = AllNations(db, opt);
 
-  using KeySet = std::unordered_set<int32_t>;
-  KeySet green_parts = ParAgg<KeySet>(
+  const std::vector<uint8_t> green_parts = ParDenseStore<uint8_t>(
       db.part, opt, {prt::partkey, prt::name}, {},
-      [] { return KeySet{}; },
-      [](KeySet& s, const Batch& b) {
+      size_t(db.NumParts()) + 1, [](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i)
           if (b.cols[1].Str(i).find("green") != std::string_view::npos)
-            s.insert(b.cols[0].i32[i]);
-      },
-      MergeUnion<KeySet>);
+            sink.Store(size_t(b.cols[0].i32[i]), 1);
+      });
 
-  std::unordered_map<int32_t, int32_t> supp_nation;
+  std::vector<int32_t> supp_nation(size_t(db.NumSuppliers()) + 1);
   DimScan(db.supplier, opt, {sup::suppkey, sup::nationkey},
           [&](const Batch& b) {
             for (uint32_t i = 0; i < b.count; ++i)
-              supp_nation[b.cols[0].i32[i]] = b.cols[1].i32[i];
+              supp_nation[size_t(b.cols[0].i32[i])] = b.cols[1].i32[i];
           });
 
   // (partkey, suppkey) -> supplycost, keys encoded densely. Keys are
@@ -255,7 +244,7 @@ QueryResult Q9(const TpchDatabase& db, const ScanOptions& opt) {
       db.partsupp, opt, {ps::partkey, ps::suppkey, ps::supplycost}, {},
       [&green_parts, supp_span](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          if (!green_parts.count(b.cols[0].i32[i])) continue;
+          if (!green_parts[size_t(b.cols[0].i32[i])]) continue;
           t.Ref(uint64_t(int64_t(b.cols[0].i32[i]) * supp_span +
                          b.cols[1].i32[i])) = b.cols[2].i64[i];
         }
@@ -271,19 +260,18 @@ QueryResult Q9(const TpchDatabase& db, const ScanOptions& opt) {
                      DateYear(b.cols[1].i32[i]));
       });
 
-  // (nation, year) -> profit in units of 1e-4 dollars: ext*(100-disc) and
-  // cost*qty*100 are both exact in that scale, so the sum is an int64.
-  using ProfitMap = std::map<std::pair<std::string, int32_t>, int64_t>;
-  ProfitMap profit = ParAgg<ProfitMap>(
+  // (nationkey, order year) -> profit in units of 1e-4 dollars:
+  // ext*(100-disc) and cost*qty*100 are both exact in that scale, so the
+  // sum is an int64. Grouped on integer keys; names join in at output.
+  auto profit = ParHashAgg<int64_t>(
       db.lineitem, opt,
       {li::orderkey, li::partkey, li::suppkey, li::quantity,
        li::extendedprice, li::discount},
       {},
-      [] { return ProfitMap{}; },
-      [&](ProfitMap& m, const Batch& b) {
+      [&](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
           int32_t pk = b.cols[1].i32[i];
-          if (!green_parts.count(pk)) continue;
+          if (!green_parts[size_t(pk)]) continue;
           int32_t sk = b.cols[2].i32[i];
           const int64_t* c =
               ps_cost.Find(uint64_t(int64_t(pk) * supp_span + sk));
@@ -291,26 +279,30 @@ QueryResult Q9(const TpchDatabase& db, const ScanOptions& opt) {
           int64_t amount = b.cols[4].i64[i] * (100 - b.cols[5].i32[i]) -
                            cost * b.cols[3].i32[i] * 100;
           int32_t year = order_year[size_t(OrderIdx(b.cols[0].i64[i]))];
-          m[{nations[supp_nation[sk]], year}] += amount;
+          t.Ref(uint64_t(supp_nation[size_t(sk)]) << 32 | uint64_t(year)) +=
+              amount;
         }
       },
-      MergeAdd<ProfitMap>);
+      ApplyAdd{});
 
+  struct OutRow {
+    const std::string* nation;
+    int64_t year, amount;
+  };
+  std::vector<OutRow> out;
+  profit.ForEach([&](uint64_t key, const int64_t& amount) {
+    out.push_back({&nations[size_t(key >> 32)], int64_t(key & 0xFFFFFFFF),
+                   amount});
+  });
+  std::sort(out.begin(), out.end(), [](const OutRow& a, const OutRow& b) {
+    if (*a.nation != *b.nation) return *a.nation < *b.nation;
+    return a.year > b.year;
+  });
   QueryResult result;
-  for (auto it = profit.begin(); it != profit.end(); ++it) {
-    // order by nation asc, year desc: collect per nation then reverse years.
-    result.rows.push_back(it->first.first + "|" +
-                          std::to_string(it->first.second) + "|" +
-                          F2(double(it->second) / 1e4));
+  for (const OutRow& r : out) {
+    result.rows.push_back(*r.nation + "|" + std::to_string(r.year) + "|" +
+                          F2(double(r.amount) / 1e4));
   }
-  // std::map ordering gives (nation asc, year asc); flip year order.
-  std::stable_sort(result.rows.begin(), result.rows.end(),
-                   [](const std::string& a, const std::string& b) {
-                     auto na = a.substr(0, a.find('|'));
-                     auto nb = b.substr(0, b.find('|'));
-                     if (na != nb) return na < nb;
-                     return a.substr(a.find('|')) > b.substr(b.find('|'));
-                   });
   return result;
 }
 
@@ -320,27 +312,25 @@ QueryResult Q10(const TpchDatabase& db, const ScanOptions& opt) {
   const int32_t lo = MakeDate(1993, 10, 1), hi = MakeDate(1994, 1, 1);
   auto nations = AllNations(db, opt);
 
-  using OrdMap = std::unordered_map<int64_t, int32_t>;
-  OrdMap order_cust = ParAgg<OrdMap>(
+  // Order index -> custkey of the quarter's orders, 0 for every other
+  // order (custkeys start at 1). One writer per element.
+  const std::vector<int32_t> order_cust = ParDenseStore<int32_t>(
       db.orders, opt, {ord::orderkey, ord::custkey},
       {Predicate::Between(ord::orderdate, Value::Int(lo),
                           Value::Int(hi - 1))},
-      [] { return OrdMap{}; },
-      [](OrdMap& m, const Batch& b) {
+      size_t(db.NumOrders()), [](auto& sink, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i)
-          m[b.cols[0].i64[i]] = b.cols[1].i32[i];
-      },
-      MergeInsert<OrdMap>);
+          sink.Store(size_t(OrderIdx(b.cols[0].i64[i])), b.cols[1].i32[i]);
+      });
 
   auto revenue = ParHashAgg<int64_t>(
       db.lineitem, opt, {li::orderkey, li::extendedprice, li::discount},
       {Predicate::Eq(li::returnflag, Value::Int('R'))},
       [&order_cust](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          auto it = order_cust.find(b.cols[0].i64[i]);
-          if (it == order_cust.end()) continue;
-          t.Ref(uint64_t(it->second)) +=
-              b.cols[1].i64[i] * (100 - b.cols[2].i32[i]);
+          int32_t ck = order_cust[size_t(OrderIdx(b.cols[0].i64[i]))];
+          if (ck == 0) continue;
+          t.Ref(uint64_t(ck)) += b.cols[1].i64[i] * (100 - b.cols[2].i32[i]);
         }
       },
       ApplyAdd{});
@@ -367,7 +357,8 @@ QueryResult Q10(const TpchDatabase& db, const ScanOptions& opt) {
                           std::string(b.cols[5].Str(i)),
                           std::string(b.cols[3].Str(i)),
                           std::string(b.cols[6].Str(i)),
-                          nations[b.cols[4].i32[i]], b.cols[2].i64[i]});
+                          nations[size_t(b.cols[4].i32[i])],
+                          b.cols[2].i64[i]});
         }
       },
       MergeConcat<OutRow>);
@@ -391,44 +382,38 @@ QueryResult Q10(const TpchDatabase& db, const ScanOptions& opt) {
 QueryResult Q11(const TpchDatabase& db, const ScanOptions& opt) {
   const int32_t germany = NationKeyOf(db, opt, "GERMANY");
 
-  std::unordered_set<int32_t> german_supp;
+  std::vector<uint8_t> german_supp(size_t(db.NumSuppliers()) + 1);
   DimScan(db.supplier, opt, {sup::suppkey},
           {Predicate::Eq(sup::nationkey, Value::Int(germany))},
           [&](const Batch& b) {
             for (uint32_t i = 0; i < b.count; ++i)
-              german_supp.insert(b.cols[0].i32[i]);
+              german_supp[size_t(b.cols[0].i32[i])] = 1;
           });
 
-  struct ValueAgg {
-    std::unordered_map<int32_t, int64_t> value;  // partkey -> cost*qty
-    int64_t total = 0;
-  };
-  ValueAgg agg = ParAgg<ValueAgg>(
+  // partkey -> sum of cost*qty over German suppliers.
+  auto value = ParHashAgg<int64_t>(
       db.partsupp, opt,
       {ps::partkey, ps::suppkey, ps::availqty, ps::supplycost}, {},
-      [] { return ValueAgg{}; },
-      [&german_supp](ValueAgg& a, const Batch& b) {
+      [&german_supp](auto& t, const Batch& b) {
         for (uint32_t i = 0; i < b.count; ++i) {
-          if (!german_supp.count(b.cols[1].i32[i])) continue;
-          int64_t v = b.cols[3].i64[i] * b.cols[2].i32[i];
-          a.value[b.cols[0].i32[i]] += v;
-          a.total += v;
+          if (!german_supp[size_t(b.cols[1].i32[i])]) continue;
+          t.Ref(uint64_t(b.cols[0].i32[i])) +=
+              b.cols[3].i64[i] * b.cols[2].i32[i];
         }
       },
-      [](ValueAgg& dst, const ValueAgg& src) {
-        MergeAdd(dst.value, src.value);
-        dst.total += src.total;
-      });
+      ApplyAdd{});
+  int64_t total = 0;
+  value.ForEach([&total](uint64_t, const int64_t& v) { total += v; });
 
-  const double threshold =
-      double(agg.total) * 0.0001 / db.config.scale_factor;
+  const double threshold = double(total) * 0.0001 / db.config.scale_factor;
   struct OutRow {
     int32_t partkey;
     int64_t value;
   };
   std::vector<OutRow> out;
-  for (auto& [pk, v] : agg.value)
-    if (double(v) > threshold) out.push_back({pk, v});
+  value.ForEach([&](uint64_t pk, const int64_t& v) {
+    if (double(v) > threshold) out.push_back({int32_t(pk), v});
+  });
   std::sort(out.begin(), out.end(), [](const OutRow& a, const OutRow& b) {
     return a.value != b.value ? a.value > b.value : a.partkey < b.partkey;
   });

@@ -442,7 +442,7 @@ TEST(ShardMetrics, ExchangeCountersMove) {
   o.mode = ScanMode::kJit;
   o.ctx.threads = 2;
   o.ctx.shards = &shards;
-  RunQuery(1, *db, o);  // hash/dense aggregation -> exchange traffic
+  RunQuery(13, *db, o);  // custkey-dense aggregation -> exchange traffic
 
   EXPECT_GT(shipped->Value(), before);
 }

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <map>
+#include <set>
 #include <unordered_set>
 
 #include "tpch/queries.h"
@@ -142,6 +146,169 @@ TEST_F(TpchFixture, Q6MatchesBruteForce) {
   char expect[64];
   std::snprintf(expect, sizeof(expect), "%.2f", double(revenue) / 1e4);
   EXPECT_EQ(q6.rows[0], expect);
+}
+
+// Brute-force references for the queries whose lookups are dense key
+// stores: rows read one by one through Table::GetInt / GetStringView,
+// joined with std::map / std::set, no exec code involved.
+
+template <typename Fn>
+void ForEachRow(const Table& table, Fn fn) {
+  for (size_t c = 0; c < table.num_chunks(); ++c)
+    for (uint32_t r = 0; r < table.chunk_rows(c); ++r) fn(MakeRowId(c, r));
+}
+
+std::string Fixed2(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.2f", v);
+  return buf;
+}
+
+std::vector<std::string> ReferenceQ3(const TpchDatabase& db) {
+  namespace li = col::lineitem;
+  namespace ord = col::orders;
+  namespace cust = col::customer;
+  const int32_t date = MakeDate(1995, 3, 15);
+  std::set<int64_t> building;
+  ForEachRow(db.customer, [&](RowId id) {
+    if (db.customer.GetStringView(id, cust::mktsegment) == "BUILDING")
+      building.insert(db.customer.GetInt(id, cust::custkey));
+  });
+  std::map<int64_t, std::pair<int64_t, int64_t>> orders;  // date, priority
+  ForEachRow(db.orders, [&](RowId id) {
+    if (db.orders.GetInt(id, ord::orderdate) >= date) return;
+    if (!building.count(db.orders.GetInt(id, ord::custkey))) return;
+    orders[db.orders.GetInt(id, ord::orderkey)] = {
+        db.orders.GetInt(id, ord::orderdate),
+        db.orders.GetInt(id, ord::shippriority)};
+  });
+  std::map<int64_t, int64_t> revenue;
+  ForEachRow(db.lineitem, [&](RowId id) {
+    if (db.lineitem.GetInt(id, li::shipdate) <= date) return;
+    int64_t ok = db.lineitem.GetInt(id, li::orderkey);
+    if (!orders.count(ok)) return;
+    revenue[ok] += db.lineitem.GetInt(id, li::extendedprice) *
+                   (100 - db.lineitem.GetInt(id, li::discount));
+  });
+  std::vector<std::pair<int64_t, int64_t>> ranked(revenue.begin(),
+                                                   revenue.end());
+  std::sort(ranked.begin(), ranked.end(), [&](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    if (orders[a.first].first != orders[b.first].first)
+      return orders[a.first].first < orders[b.first].first;
+    return a.first < b.first;
+  });
+  if (ranked.size() > 10) ranked.resize(10);
+  std::vector<std::string> rows;
+  for (const auto& [ok, rev] : ranked) {
+    rows.push_back(std::to_string(ok) + "|" + Fixed2(double(rev) / 1e4) +
+                   "|" + DateToString(int32_t(orders[ok].first)) + "|" +
+                   std::to_string(orders[ok].second));
+  }
+  return rows;
+}
+
+std::vector<std::string> ReferenceQ10(const TpchDatabase& db) {
+  namespace li = col::lineitem;
+  namespace ord = col::orders;
+  namespace cust = col::customer;
+  namespace nat = col::nation;
+  const int32_t lo = MakeDate(1993, 10, 1), hi = MakeDate(1994, 1, 1);
+  std::map<int64_t, std::string> nations;
+  ForEachRow(db.nation, [&](RowId id) {
+    nations[db.nation.GetInt(id, nat::nationkey)] =
+        std::string(db.nation.GetStringView(id, nat::name));
+  });
+  std::map<int64_t, int64_t> order_cust;
+  ForEachRow(db.orders, [&](RowId id) {
+    int64_t date = db.orders.GetInt(id, ord::orderdate);
+    if (date < lo || date >= hi) return;
+    order_cust[db.orders.GetInt(id, ord::orderkey)] =
+        db.orders.GetInt(id, ord::custkey);
+  });
+  std::map<int64_t, int64_t> revenue;  // custkey -> cents * percent
+  ForEachRow(db.lineitem, [&](RowId id) {
+    if (db.lineitem.GetInt(id, li::returnflag) != 'R') return;
+    auto it = order_cust.find(db.lineitem.GetInt(id, li::orderkey));
+    if (it == order_cust.end()) return;
+    revenue[it->second] += db.lineitem.GetInt(id, li::extendedprice) *
+                           (100 - db.lineitem.GetInt(id, li::discount));
+  });
+  struct Row {
+    int64_t custkey, rev;
+    std::string text;
+  };
+  std::vector<Row> ranked;
+  ForEachRow(db.customer, [&](RowId id) {
+    int64_t ck = db.customer.GetInt(id, cust::custkey);
+    auto it = revenue.find(ck);
+    if (it == revenue.end()) return;
+    auto str = [&](uint32_t c) {
+      return std::string(db.customer.GetStringView(id, c));
+    };
+    ranked.push_back(
+        {ck, it->second,
+         std::to_string(ck) + "|" + str(cust::name) + "|" +
+             Fixed2(double(it->second) / 1e4) + "|" +
+             Fixed2(double(db.customer.GetInt(id, cust::acctbal)) / 100.0) +
+             "|" + nations[db.customer.GetInt(id, cust::nationkey)] + "|" +
+             str(cust::address) + "|" + str(cust::phone) + "|" +
+             str(cust::comment)});
+  });
+  std::sort(ranked.begin(), ranked.end(), [](const Row& a, const Row& b) {
+    return a.rev != b.rev ? a.rev > b.rev : a.custkey < b.custkey;
+  });
+  if (ranked.size() > 20) ranked.resize(20);
+  std::vector<std::string> rows;
+  for (const Row& r : ranked) rows.push_back(r.text);
+  return rows;
+}
+
+std::vector<std::string> ReferenceQ17(const TpchDatabase& db) {
+  namespace li = col::lineitem;
+  namespace prt = col::part;
+  std::set<int64_t> parts;
+  ForEachRow(db.part, [&](RowId id) {
+    if (db.part.GetStringView(id, prt::brand) == "Brand#23" &&
+        db.part.GetStringView(id, prt::container) == "MED BOX")
+      parts.insert(db.part.GetInt(id, prt::partkey));
+  });
+  std::map<int64_t, std::pair<int64_t, int64_t>> qty;  // sum, count
+  ForEachRow(db.lineitem, [&](RowId id) {
+    int64_t pk = db.lineitem.GetInt(id, li::partkey);
+    if (!parts.count(pk)) return;
+    qty[pk].first += db.lineitem.GetInt(id, li::quantity);
+    ++qty[pk].second;
+  });
+  int64_t total = 0;  // cents
+  ForEachRow(db.lineitem, [&](RowId id) {
+    auto it = qty.find(db.lineitem.GetInt(id, li::partkey));
+    if (it == qty.end()) return;
+    double avg = double(it->second.first) / double(it->second.second);
+    if (double(db.lineitem.GetInt(id, li::quantity)) < 0.2 * avg)
+      total += db.lineitem.GetInt(id, li::extendedprice);
+  });
+  return {Fixed2(double(total) / 100.0 / 7.0)};
+}
+
+TEST_F(TpchFixture, DenseLookupQueriesMatchBruteForce) {
+  const std::map<int, std::vector<std::string>> expected = {
+      {3, ReferenceQ3(*db_)}, {10, ReferenceQ10(*db_)},
+      {17, ReferenceQ17(*db_)}};
+  EXPECT_FALSE(expected.at(3).empty());
+  EXPECT_FALSE(expected.at(10).empty());
+  EXPECT_NE(expected.at(17), std::vector<std::string>{"0.00"});
+  for (unsigned threads : {1u, 4u}) {
+    for (const TpchDatabase* db : {db_, frozen_}) {
+      ScanOptions o;
+      o.ctx.threads = threads;
+      for (const auto& [q, rows] : expected) {
+        EXPECT_EQ(RunQuery(q, *db, o).rows, rows)
+            << "Q" << q << " threads=" << threads
+            << (db == frozen_ ? " frozen" : " hot");
+      }
+    }
+  }
 }
 
 // Every query must return identical results across all scan configurations,

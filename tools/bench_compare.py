@@ -3,8 +3,10 @@
 performance regressions.
 
 The bench binaries write one JSON file each when run with `--json <path>`
-(see bench/bench_common.h); every result is keyed by (bench, name, config)
-and carries a median ns/op. This tool pairs the results of a baseline run
+(see bench/bench_common.h); every result is keyed by (bench, name, config,
+threads, shards) and carries a median ns/op, so runs of one bench at
+several thread or shard counts diff side by side and runs of different
+parallelism are never paired. This tool pairs the results of a baseline run
 with a candidate run and fails (exit 1) when any pair regressed by more
 than the threshold — unless --warn-only is given, which is the right mode
 on noisy shared CI runners.
@@ -34,7 +36,8 @@ def find_files(path):
 
 
 def load_results(path):
-    """Returns ({(bench, name, config): result_dict}, has_metrics)."""
+    """Returns ({(bench, name, config, threads, shards): result_dict},
+    has_metrics)."""
     files = find_files(path)
     if not files:
         sys.exit(f"error: no bench JSON files found under {path}")
@@ -45,14 +48,14 @@ def load_results(path):
             data = json.load(fp)
         bench = data.get("bench", os.path.basename(f))
         has_metrics = has_metrics or "metrics" in data
+        threads = data.get("threads", 1)
+        shards = data.get("shards", 1)
         for r in data.get("results", []):
-            key = (bench, r["name"], r["config"])
+            key = (bench, r["name"], r["config"], threads, shards)
             if key in results:
                 print(f"warning: duplicate result {key} in {f}",
                       file=sys.stderr)
-            results[key] = dict(r, quick=data.get("quick", False),
-                                threads=data.get("threads", 1),
-                                shards=data.get("shards", 1))
+            results[key] = dict(r, quick=data.get("quick", False))
     return results, has_metrics
 
 
@@ -100,16 +103,6 @@ def main():
             print(f"warning: {key} mixes quick and full-mode numbers; "
                   "skipping", file=sys.stderr)
             continue
-        if b.get("threads") != c.get("threads"):
-            print(f"warning: {key} mixes thread counts "
-                  f"({b.get('threads')} vs {c.get('threads')}); skipping",
-                  file=sys.stderr)
-            continue
-        if b.get("shards") != c.get("shards"):
-            print(f"warning: {key} mixes shard counts "
-                  f"({b.get('shards')} vs {c.get('shards')}); skipping",
-                  file=sys.stderr)
-            continue
         if b["median_ns_op"] <= 0:
             continue
         compared += 1
@@ -120,7 +113,8 @@ def main():
         delta_pct = 100.0 * (c["median_ns_op"] - b["median_ns_op"]) \
             / b["median_ns_op"]
         unit = "ns" if is_latency else "ns/op"
-        line = (f"{key[0]} :: {key[1]} [{key[2]}] "
+        label = f"{key[0]} :: {key[1]} [{key[2]}] t{key[3]}s{key[4]}"
+        line = (f"{label} "
                 f"{b['median_ns_op']:.4g} -> {c['median_ns_op']:.4g} {unit} "
                 f"({delta_pct:+.1f}%)")
         if delta_pct > threshold:
@@ -135,7 +129,7 @@ def main():
         sc = c.get("state_peak_bytes", -1)
         if sb > 0 and sc >= 0 and max(sb, sc) >= 1e6:
             sdelta = 100.0 * (sc - sb) / sb
-            sline = (f"{key[0]} :: {key[1]} [{key[2]}] state "
+            sline = (f"{label} state "
                      f"{sb:.4g} -> {sc:.4g} bytes ({sdelta:+.1f}%)")
             if sdelta > args.threshold:
                 regressions.append(sline)
